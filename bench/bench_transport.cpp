@@ -1,6 +1,6 @@
 // Transport backend comparison (google-benchmark): the same batched
 // E2SM-MOBIFLOW indication pushed through each E2 channel backend —
-// in-process queue, Unix-domain socketpair, shared-memory ring — plus the
+// in-process queue and Unix-domain socketpair — plus the
 // full framed-link receive path (enqueue -> pump -> zero-copy view decode
 // -> row iteration -> per-row record decode) and the varint decoder's
 // unrolled fast path against the original loop.
@@ -23,7 +23,6 @@
 #include "transport/channel.hpp"
 #include "transport/frame.hpp"
 #include "transport/link.hpp"
-#include "transport/pump.hpp"
 
 using namespace xsec;
 
@@ -124,33 +123,19 @@ void BM_LinkIndicationReceivePath(benchmark::State& state,
                          benchmark::Counter::kAvgIterations);
 }
 
-/// Burst delivery, polled vs event-driven: kBurst frames enqueued, then
-/// drained in one go. Polled mode pays one kernel write per send on the
-/// socket backend; the epoll pump stages sends in user space and flushes
-/// the whole burst with a single writev, then drains the socket with one
-/// large recv — the counters make the syscall coalescing visible:
-/// syscalls_per_frame (kernel entries per delivered frame, lower is
-/// better) and frames_per_wakeup (burst frames amortized per pump wakeup,
-/// higher is better).
+/// Burst delivery: kBurst frames enqueued, then drained by one pump. The
+/// socket backend stages the sends in user space, flushes the burst with
+/// one writev and drains it with one large recv; syscalls_per_frame
+/// (kernel entries per delivered frame, lower is better) makes that
+/// coalescing visible.
 constexpr std::size_t kPumpBurst = 32;
 
-void BM_PumpBurst(benchmark::State& state, transport::BackendKind kind,
-                  transport::PumpMode mode) {
-  obs::Observability obs;
-  std::unique_ptr<transport::EpollPump> pump;
-  if (mode == transport::PumpMode::kEpoll) {
-    pump = transport::EpollPump::create(&obs);
-    if (!pump) {
-      state.SkipWithError("epoll pump unavailable in this environment");
-      return;
-    }
-  }
+void BM_PumpBurst(benchmark::State& state, transport::BackendKind kind) {
   auto ch = transport::make_channel(kind, 1024 * 1024);
   if (!ch) {
     state.SkipWithError("backend unavailable in this environment");
     return;
   }
-  if (pump) pump->add(ch.get());
   Bytes pdu = batched_indication();
   std::uint64_t delivered = 0;
   ch->set_sink([&](std::span<const std::uint8_t> payload) {
@@ -159,26 +144,12 @@ void BM_PumpBurst(benchmark::State& state, transport::BackendKind kind,
   });
   for (auto _ : state) {
     for (std::size_t i = 0; i < kPumpBurst; ++i) ch->send(pdu);
-    if (pump) {
-      pump->service();
-    } else {
-      ch->pump();
-    }
+    ch->pump();
   }
   const double frames = static_cast<double>(delivered);
-  // pump->syscalls() already folds in the channel's kernel entries (plus
-  // the pump's own epoll_wait/doorbell ones); polled mode has no pump.
-  const double syscalls = pump ? static_cast<double>(pump->syscalls())
-                               : static_cast<double>(ch->io_syscalls());
   state.counters["syscalls_per_frame"] =
-      frames > 0 ? syscalls / frames : 0.0;
-  state.counters["frames_per_wakeup"] = benchmark::Counter(
-      pump ? (pump->wakeups() > 0
-                  ? frames / static_cast<double>(pump->wakeups())
-                  : 0.0)
-           : frames / static_cast<double>(state.iterations()));
+      frames > 0 ? static_cast<double>(ch->io_syscalls()) / frames : 0.0;
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
-  if (pump) pump->remove(ch.get());
 }
 
 /// The seed varint decoder, reproduced verbatim (plain 7-bits-per-byte
@@ -270,27 +241,12 @@ void BM_VarintDecode_FastPath(benchmark::State& state) {
 BENCHMARK_CAPTURE(BM_ChannelSendPump, inproc,
                   transport::BackendKind::kInProcess);
 BENCHMARK_CAPTURE(BM_ChannelSendPump, uds, transport::BackendKind::kUds);
-BENCHMARK_CAPTURE(BM_ChannelSendPump, shm, transport::BackendKind::kShm);
 BENCHMARK_CAPTURE(BM_LinkIndicationReceivePath, inproc,
                   transport::BackendKind::kInProcess);
 BENCHMARK_CAPTURE(BM_LinkIndicationReceivePath, uds,
                   transport::BackendKind::kUds);
-BENCHMARK_CAPTURE(BM_LinkIndicationReceivePath, shm,
-                  transport::BackendKind::kShm);
-BENCHMARK_CAPTURE(BM_PumpBurst, inproc_polled,
-                  transport::BackendKind::kInProcess,
-                  transport::PumpMode::kPolled);
-BENCHMARK_CAPTURE(BM_PumpBurst, inproc_epoll,
-                  transport::BackendKind::kInProcess,
-                  transport::PumpMode::kEpoll);
-BENCHMARK_CAPTURE(BM_PumpBurst, uds_polled, transport::BackendKind::kUds,
-                  transport::PumpMode::kPolled);
-BENCHMARK_CAPTURE(BM_PumpBurst, uds_epoll, transport::BackendKind::kUds,
-                  transport::PumpMode::kEpoll);
-BENCHMARK_CAPTURE(BM_PumpBurst, shm_polled, transport::BackendKind::kShm,
-                  transport::PumpMode::kPolled);
-BENCHMARK_CAPTURE(BM_PumpBurst, shm_epoll, transport::BackendKind::kShm,
-                  transport::PumpMode::kEpoll);
+BENCHMARK_CAPTURE(BM_PumpBurst, inproc, transport::BackendKind::kInProcess);
+BENCHMARK_CAPTURE(BM_PumpBurst, uds, transport::BackendKind::kUds);
 BENCHMARK(BM_VarintDecode_Reference);
 BENCHMARK(BM_VarintDecode_FastPath);
 

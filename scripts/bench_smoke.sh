@@ -65,11 +65,11 @@ run_gbench bench_lifecycle
 # export XSEC_BENCH_UES to shrink it for quick local iterations (the
 # benchmark names stay the same, so bench_diff would then over-report).
 run_gbench bench_scale
-# Transport backend comparison: inproc vs UDS vs shm channel throughput,
-# the framed zero-copy receive path, the varint fast-path delta, and the
-# polled-vs-epoll pump burst (BM_PumpBurst reports syscalls_per_frame and
-# frames_per_wakeup per backend × pump mode — epoll must show measurably
-# fewer syscalls per frame on the kernel-socket backend).
+# Transport backend comparison: inproc vs UDS channel throughput, the
+# framed zero-copy receive path, the varint fast-path delta, and the
+# 32-frame pump burst (BM_PumpBurst reports syscalls_per_frame per backend:
+# the batched UDS path makes about two kernel entries per burst, not one
+# per frame).
 run_gbench bench_transport
 
 # Paper-artifact benches: --quick shrinks datasets/epochs where training is

@@ -19,10 +19,9 @@
 #     and then re-runs the chaos suite with XSEC_RIC_SHARDS forcing every
 #     pipeline onto 2 and 4 worker threads, so the coordinator/worker
 #     hand-off (SPSC ring, barrier, detector swap, metric drain) is
-#     race-checked under real fault-injected load. Further sweeps re-run
-#     the chaos + transport suites over the kernel-socket backends
-#     (XSEC_E2_TRANSPORT) and under the event-driven pump
-#     (XSEC_E2_PUMP=epoll), so the writev/recv batching paths are
+#     race-checked under real fault-injected load. A last sweep re-runs
+#     the chaos + transport suites over the kernel-socket backend
+#     (XSEC_E2_TRANSPORT=uds), so the batched writev/recv paths are
 #     race-checked too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,15 +38,9 @@ if [[ "${1:-}" == "tsan" ]]; then
     echo "=== chaos suite with XSEC_RIC_SHARDS=$shards under TSan ==="
     XSEC_RIC_SHARDS=$shards ctest --preset tsan -R 'Chaos|LifecycleE2e'
   done
-  for backend in uds shm; do
-    echo "=== chaos suite with XSEC_E2_TRANSPORT=$backend under TSan ==="
-    XSEC_E2_TRANSPORT=$backend ctest --preset tsan -R 'Chaos|TransportBackpressure'
-  done
-  for backend in uds shm; do
-    echo "=== chaos suite with XSEC_E2_PUMP=epoll XSEC_E2_TRANSPORT=$backend under TSan ==="
-    XSEC_E2_PUMP=epoll XSEC_E2_TRANSPORT=$backend ctest --preset tsan \
-      -R 'Chaos|TransportBackpressure|TransportPump|TransportShortWrite'
-  done
+  echo "=== chaos suite with XSEC_E2_TRANSPORT=uds under TSan ==="
+  XSEC_E2_TRANSPORT=uds ctest --preset tsan \
+    -R 'Chaos|TransportBackpressure|TransportPump|TransportShortWrite'
   exit 0
 fi
 

@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -11,49 +12,78 @@ namespace xsec::core {
 
 namespace {
 
-/// An explicit config wins; otherwise XSEC_RIC_SHARDS (the knob the
-/// sanitizer and chaos sweeps use to re-run the whole suite sharded);
-/// otherwise 1. Clamped to a sane ceiling.
-std::size_t resolve_ric_shards(std::size_t configured) {
+/// Parses the value `text` of the numeric environment override `name`
+/// with the grammar [0-9]+ and the range [1, max]. Returns 0 when it is
+/// unset or empty; any other value outside the grammar or range (sign,
+/// whitespace, trailing garbage, overflow) warns and also returns 0, so
+/// the caller's default applies.
+std::size_t parse_env_count(const char* name, const char* text,
+                            std::size_t max) {
+  if (text == nullptr || *text == '\0') return 0;
+  const char* end = text + std::strlen(text);
+  std::size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  // from_chars on an unsigned type takes neither a sign nor whitespace.
+  if (ec == std::errc{} && ptr == end && value >= 1 && value <= max)
+    return value;
+  XSEC_LOG_WARN("pipeline", "invalid ", name, " '", text,
+                "'; using the default");
+  return 0;
+}
+
+struct ResolvedOverrides {
+  std::size_t ric_shards;
+  transport::BackendKind e2_backend;
+  std::size_t e2_link_capacity;
+};
+
+/// The one place the environment reaches the pipeline. Each field keeps
+/// its explicit config value; a field left unset (0 / "") takes
+/// XSEC_RIC_SHARDS, XSEC_E2_TRANSPORT or XSEC_E2_CAPACITY, the knobs the
+/// sanitizer sweeps use to re-run default-configured suites sharded, over
+/// a kernel socket, or with a small channel. Otherwise the built-in
+/// default applies.
+ResolvedOverrides resolve_overrides(const PipelineConfig& config) {
   constexpr std::size_t kMaxShards = 64;
-  if (configured != 0) return std::min(configured, kMaxShards);
-  if (const char* env = std::getenv("XSEC_RIC_SHARDS")) {
-    // Strict parse: strtoul would wrap "-1" to ULONG_MAX and accept
-    // trailing garbage like "4x"; treat anything but a clean positive
-    // integer as unset.
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && std::strchr(env, '-') == nullptr &&
-        v >= 1)
-      return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxShards);
+  const char* shards_env = std::getenv("XSEC_RIC_SHARDS");
+  const char* backend_env = std::getenv("XSEC_E2_TRANSPORT");
+  const char* capacity_env = std::getenv("XSEC_E2_CAPACITY");
+
+  ResolvedOverrides out{};
+  out.ric_shards =
+      config.ric_shards != 0
+          ? std::min(config.ric_shards, kMaxShards)
+          : std::max<std::size_t>(
+                1, parse_env_count("XSEC_RIC_SHARDS", shards_env, kMaxShards));
+  out.e2_backend = transport::resolve_backend(
+      config.e2_transport.empty() && backend_env != nullptr
+          ? std::string(backend_env)
+          : config.e2_transport);
+  out.e2_link_capacity = transport::resolve_capacity(
+      config.e2_link_capacity != 0
+          ? config.e2_link_capacity
+          : parse_env_count("XSEC_E2_CAPACITY", capacity_env,
+                            transport::kMaxChannelCapacity));
+
+  if (!config.e2_pump.empty() && config.e2_pump != "polled") {
+    XSEC_LOG_WARN("pipeline", "ignoring e2_pump '", config.e2_pump,
+                  "': the E2 transport has one pump mode");
   }
-  return 1;
+  return out;
 }
 
 }  // namespace
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
-  config_.mobiwatch.shards = resolve_ric_shards(config_.ric_shards);
-  config_.e2_link_capacity =
-      transport::resolve_capacity(config_.e2_link_capacity);
+  const ResolvedOverrides resolved = resolve_overrides(config_);
+  config_.mobiwatch.shards = resolved.ric_shards;
+  config_.e2_link_capacity = resolved.e2_link_capacity;
   testbed_ = std::make_unique<sim::Testbed>(config_.testbed);
 
   // Platform-wide observability: one registry + tracer, driven by the sim
   // clock, shared by the RIC, every agent/transport, and the LLM path.
   obs_ = std::make_unique<obs::Observability>();
   obs_->set_clock([this] { return testbed_->now(); });
-
-  // One shared event-driven pump for every site's link (epoll mode). Its
-  // instrumentation lives in obs_->host, outside the deterministic export.
-  pump_mode_ = transport::resolve_pump_mode(config_.e2_pump);
-  if (pump_mode_ == transport::PumpMode::kEpoll) {
-    pump_ = transport::EpollPump::create(obs_.get());
-    if (!pump_) {
-      XSEC_LOG_WARN("pipeline",
-                    "failed to create epoll pump; using polled mode");
-      pump_mode_ = transport::PumpMode::kPolled;
-    }
-  }
 
   ric_ = std::make_unique<oran::NearRtRic>();
   ric_->set_observability(obs_.get());
@@ -125,9 +155,8 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
     transport_hooks.obs = obs_.get();
     transport_hooks.metric_scope =
         "e2.node" + std::to_string(config_.e2_node_id + site);
-    transport_hooks.backend = config_.e2_transport;
+    transport_hooks.backend = resolved.e2_backend;
     transport_hooks.link_capacity = config_.e2_link_capacity;
-    transport_hooks.pump = pump_.get();
     auto transport = std::make_unique<oran::FaultyE2Transport>(
         ric_.get(), agent.get(), plan, std::move(transport_hooks));
     transport->arm_epochs();

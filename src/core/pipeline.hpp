@@ -19,7 +19,6 @@
 #include "oran/ric.hpp"
 #include "oran/transport.hpp"
 #include "sim/testbed.hpp"
-#include "transport/pump.hpp"
 
 namespace xsec::core {
 
@@ -63,16 +62,14 @@ struct PipelineConfig {
   /// outputs under a fixed seed; >1 buys wall-clock throughput.
   std::size_t ric_shards = 0;
   /// E2 transport backend carrying every agent's E2AP frames: "inproc"
-  /// (default), "uds" (framed Unix-domain socketpair), or "shm"
-  /// (shared-memory SPSC ring). Empty resolves from the XSEC_E2_TRANSPORT
-  /// environment variable, falling back to inproc. Any backend produces
-  /// byte-identical outputs under a fixed seed.
+  /// (default) or "uds" (framed Unix-domain socketpair). Empty resolves
+  /// from the XSEC_E2_TRANSPORT environment variable, falling back to
+  /// inproc. Either backend produces byte-identical outputs under a fixed
+  /// seed.
   std::string e2_transport;
-  /// Transport pump mode: "polled" (historical: channels drained by direct
-  /// pump calls) or "epoll" (event-driven: one shared EpollPump provides
-  /// readiness wakeups and syscall-coalesced batched I/O). Empty resolves
-  /// from the XSEC_E2_PUMP environment variable, falling back to polled.
-  /// Either mode produces byte-identical outputs under a fixed seed.
+  /// Unused: there is one transport pump mode. Kept only so configurations
+  /// that still set it compile; a value other than "" or "polled" logs a
+  /// warning and is otherwise ignored.
   std::string e2_pump;
   /// Per-direction E2 channel capacity in bytes. Logical accounting is
   /// identical on every backend, so this also fixes where backpressure
@@ -193,10 +190,6 @@ class Pipeline {
     return transports_.empty() ? transport::BackendKind::kInProcess
                                : transports_.front()->backend();
   }
-  /// Resolved pump mode (config / XSEC_E2_PUMP / fallback).
-  transport::PumpMode e2_pump_mode() const { return pump_mode_; }
-  /// The shared event-driven pump (nullptr in polled mode).
-  transport::EpollPump* e2_pump() { return pump_.get(); }
   /// Resolved per-direction channel capacity (config / XSEC_E2_CAPACITY).
   std::size_t e2_link_capacity() const { return config_.e2_link_capacity; }
 
@@ -226,10 +219,6 @@ class Pipeline {
   /// Declared first so it is destroyed last: every component below holds
   /// raw handles into this registry.
   std::unique_ptr<obs::Observability> obs_;
-  /// Declared before the transports so it outlives their channel
-  /// registrations (FramedLink's destructor deregisters from the pump).
-  std::unique_ptr<transport::EpollPump> pump_;
-  transport::PumpMode pump_mode_ = transport::PumpMode::kPolled;
   PipelineConfig config_;
   std::unique_ptr<sim::Testbed> testbed_;
   std::unique_ptr<oran::NearRtRic> ric_;

@@ -163,11 +163,11 @@ class Tracer {
 struct Observability {
   MetricsRegistry metrics;
   Tracer tracer{&metrics};
-  /// Host-dependent instrumentation (transport syscall counts, pump
-  /// wakeups): values that legitimately differ per I/O backend, pump mode,
-  /// and kernel. Kept OUT of `metrics` so the deterministic exports — the
-  /// byte-identity oracle across backends / shard counts / pump modes —
-  /// never see them; render this registry separately
+  /// Host-dependent instrumentation (transport syscall counts): values
+  /// that legitimately differ per I/O backend and kernel. Kept OUT of
+  /// `metrics` so the deterministic exports — the byte-identity oracle
+  /// across backends and shard counts — never see them; render this
+  /// registry separately
   /// (`render_prometheus(obs.host)`) when the numbers are wanted.
   MetricsRegistry host;
 

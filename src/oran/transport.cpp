@@ -31,9 +31,8 @@ FaultyE2Transport::FaultyE2Transport(NearRtRic* ric, E2NodeLink* node,
   transit_us_ = &r.histogram(scope + ".transit_us");
 
   transport::LinkConfig link_cfg;
-  link_cfg.backend = transport::resolve_backend(hooks_.backend);
+  link_cfg.backend = hooks_.backend;
   link_cfg.capacity = hooks_.link_capacity;
-  link_cfg.pump = hooks_.pump;
   link_ = std::make_unique<transport::FramedLink>(link_cfg, obs);
   link_->set_ric_sink(
       [this](std::uint64_t node_id, std::span<const std::uint8_t> pdu) {

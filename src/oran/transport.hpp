@@ -80,17 +80,12 @@ struct TransportHooks {
   obs::Observability* obs = nullptr;
   /// Metric name prefix, e.g. "e2.node1001" in the multi-site pipeline.
   std::string metric_scope = "e2";
-  /// Transport backend name ("inproc" / "uds" / "shm"). An explicit value
-  /// wins; when empty the XSEC_E2_TRANSPORT environment variable fills the
-  /// default (falling back to inproc), so default-configured suites can be
-  /// re-run over a process-boundary backend without code changes.
-  std::string backend;
+  /// Transport backend carrying the link's frames, already resolved by
+  /// the caller (the pipeline applies config and environment precedence).
+  transport::BackendKind backend = transport::BackendKind::kInProcess;
   /// Logical per-direction channel capacity in bytes (identical across
   /// backends, so backpressure decisions don't depend on the backend).
   std::size_t link_capacity = transport::kDefaultChannelCapacity;
-  /// Event-driven transport pump to register the link's channels with
-  /// (non-owning; must outlive the transport). nullptr = polled mode.
-  transport::EpollPump* pump = nullptr;
 };
 
 /// The transport interposes as the RIC's E2NodeLink: the RIC talks to it
@@ -120,7 +115,7 @@ class FaultyE2Transport : public E2NodeLink {
   /// Snapshot assembled from the registry counters ("<scope>.*").
   TransportCounters counters() const;
 
-  /// The backend actually in use (after env override and any fallback).
+  /// The backend actually in use (after any fallback to in-process).
   transport::BackendKind backend() const { return link_->backend(); }
   /// The link's resolved per-direction channel capacity in bytes.
   std::size_t link_capacity() const { return link_->capacity(); }

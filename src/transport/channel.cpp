@@ -8,8 +8,6 @@ std::string_view to_string(BackendKind kind) {
       return "inproc";
     case BackendKind::kUds:
       return "uds";
-    case BackendKind::kShm:
-      return "shm";
   }
   return "inproc";
 }
@@ -17,7 +15,6 @@ std::string_view to_string(BackendKind kind) {
 Result<BackendKind> parse_backend(std::string_view text) {
   if (text == "inproc") return BackendKind::kInProcess;
   if (text == "uds") return BackendKind::kUds;
-  if (text == "shm") return BackendKind::kShm;
   return Error::make("config", "unknown transport backend: " +
                                    std::string(text));
 }
@@ -44,7 +41,6 @@ class InProcChannel final : public E2Channel {
     if (!writable(fs)) return false;
     append_frame(buffer_, payload);
     pending_ += fs;
-    notify_pump();
     return true;
   }
 
@@ -79,7 +75,6 @@ class InProcChannel final : public E2Channel {
           }
           pump_pos_ += consumed;
           pending_ -= consumed;
-          ++frames_delivered_;
           --budget;
           if (sink_) sink_(payload);
           break;
@@ -113,7 +108,6 @@ class InProcChannel final : public E2Channel {
 }  // namespace
 
 std::unique_ptr<E2Channel> make_uds_channel(std::size_t capacity);
-std::unique_ptr<E2Channel> make_shm_channel(std::size_t capacity);
 
 std::unique_ptr<E2Channel> make_channel(BackendKind kind,
                                         std::size_t capacity) {
@@ -122,8 +116,6 @@ std::unique_ptr<E2Channel> make_channel(BackendKind kind,
       return std::make_unique<InProcChannel>(capacity);
     case BackendKind::kUds:
       return make_uds_channel(capacity);
-    case BackendKind::kShm:
-      return make_shm_channel(capacity);
   }
   return std::make_unique<InProcChannel>(capacity);
 }

@@ -1,18 +1,15 @@
 // Process-boundary channel abstraction for the E2 interface.
 //
 // A channel moves opaque frames (transport/frame.hpp) in one direction.
-// Three interchangeable backends exist:
+// Two interchangeable backends exist:
 //
 //   kInProcess — double-buffered byte queue inside the sim process (the
 //                historical behaviour; zero syscalls).
 //   kUds       — nonblocking AF_UNIX SOCK_STREAM socketpair; frames cross
 //                a real kernel socket and are reassembled from arbitrary
 //                partial reads into a reusable arena.
-//   kShm       — shared-memory SPSC byte ring (memfd + mirror double
-//                mapping) so every frame is virtually contiguous and the
-//                receive path hands out in-place spans with no copy.
 //
-// All backends share the same *logical* capacity accounting in user space
+// Both backends share the same *logical* capacity accounting in user space
 // (`pending bytes = framed bytes sent − framed bytes delivered`), so
 // backpressure decisions — and therefore every exported metric — are
 // byte-identical no matter which backend carries the frames.
@@ -25,26 +22,26 @@
 #include <string_view>
 
 #include "common/result.hpp"
+#include "obs/metrics.hpp"
 #include "transport/frame.hpp"
 
 namespace xsec::transport {
 
-class EpollPump;
-
 enum class BackendKind : std::uint8_t {
   kInProcess = 0,
   kUds,
-  kShm,
 };
 
 std::string_view to_string(BackendKind kind);
-/// Parses "inproc" / "uds" / "shm"; anything else is an error.
+/// Parses "inproc" / "uds"; anything else is an error.
 Result<BackendKind> parse_backend(std::string_view text);
 
 /// Default logical capacity of a link direction: enough for thousands of
 /// batched indications, small enough that a paused reader trips
 /// backpressure quickly in tests.
 inline constexpr std::size_t kDefaultChannelCapacity = 256 * 1024;
+/// Largest accepted link capacity (1 GiB).
+inline constexpr std::size_t kMaxChannelCapacity = std::size_t{1} << 30;
 
 /// One direction of an E2 link. Single-threaded by design: the sim event
 /// loop is the only caller of send()/pump(); `pump()` may re-enter
@@ -61,9 +58,7 @@ class E2Channel {
   /// No delivery limit for pump().
   static constexpr std::size_t kNoFrameLimit = static_cast<std::size_t>(-1);
 
-  /// Deregisters from the pump (if any), so a channel destroyed first
-  /// never leaves a dangling pointer in the pump's watch/dirty lists.
-  virtual ~E2Channel();
+  virtual ~E2Channel() = default;
 
   void set_sink(FrameSink sink) { sink_ = std::move(sink); }
   void set_corrupt_hook(CorruptHook hook) { corrupt_ = std::move(hook); }
@@ -81,26 +76,18 @@ class E2Channel {
   /// Delivers every queued frame to the sink.
   void pump() { pump(kNoFrameLimit); }
 
-  /// File descriptor that becomes readable when queued bytes await a pump
-  /// (kernel-socket backends); -1 when readiness lives purely in user
-  /// space (inproc / shm, which signal through the pump's doorbell).
-  virtual int readable_fd() const { return -1; }
-
   /// Test seam: caps the bytes any single kernel write may accept, forcing
-  /// partial writev()/send() acceptance so short-write resume paths can be
+  /// partial writev() acceptance so short-write resume paths can be
   /// exercised at every byte offset. 0 disables the cap. No-op on
   /// backends that perform no kernel writes.
   virtual void set_max_write_per_syscall_for_test(std::size_t) {}
 
-  /// Kernel entries (send/recv/writev) this channel has made. Counted in
-  /// both pump modes so polled vs event-driven costs are comparable.
+  /// Kernel entries (recv/writev) this channel has made.
   std::uint64_t io_syscalls() const { return io_syscalls_; }
-  /// Frames delivered to the sink over the channel's lifetime.
-  std::uint64_t frames_delivered() const { return frames_delivered_; }
-
-  /// The event-driven pump this channel is registered with (nullptr in
-  /// polled mode). Set by EpollPump::add/remove.
-  EpollPump* pump_owner() const { return pump_; }
+  /// Also counts every kernel entry into `counter` (non-owning; nullptr
+  /// detaches). FramedLink points it at the host-registry
+  /// `transport.syscalls` counter.
+  void set_syscall_counter(obs::Counter* counter) { syscalls_ = counter; }
 
   /// Framed bytes enqueued but not yet delivered.
   std::size_t pending_bytes() const { return pending_; }
@@ -112,20 +99,17 @@ class E2Channel {
   /// Test hook: a paused reader stops pump() from draining, modelling a
   /// slow consumer so backpressure paths can be exercised deterministically.
   void set_reader_paused(bool paused) { reader_paused_ = paused; }
-  bool reader_paused() const { return reader_paused_; }
 
   virtual BackendKind kind() const = 0;
 
  protected:
   explicit E2Channel(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Marks this channel dirty on its pump (no-op in polled mode). Called
-  /// by backends after every successful send so the event loop learns
-  /// about user-space readiness without a syscall.
-  void notify_pump();
-  /// Counts `n` kernel entries (and forwards them to the pump's
-  /// `transport.syscalls` instrument when one is attached).
-  void count_io(std::uint64_t n = 1);
+  /// Counts one kernel entry (and feeds the attached syscall counter).
+  void count_io() {
+    ++io_syscalls_;
+    if (syscalls_ != nullptr) syscalls_->inc();
+  }
 
   FrameSink sink_;
   CorruptHook corrupt_;
@@ -134,18 +118,14 @@ class E2Channel {
   bool reader_paused_ = false;
   bool pumping_ = false;
   std::uint64_t io_syscalls_ = 0;
-  std::uint64_t frames_delivered_ = 0;
 
  private:
-  friend class EpollPump;
-  EpollPump* pump_ = nullptr;
-  /// True while the channel sits on the pump's dirty list (dedup flag).
-  bool pump_dirty_ = false;
+  obs::Counter* syscalls_ = nullptr;
 };
 
-/// Creates a channel of the requested backend. UDS and shm construction
-/// can fail (fd/mmap limits); returns nullptr so the caller can fall back
-/// to in-process with a warning rather than aborting the sim.
+/// Creates a channel of the requested backend. UDS construction can fail
+/// (fd limits); returns nullptr so the caller can fall back to in-process
+/// with a warning rather than aborting the sim.
 std::unique_ptr<E2Channel> make_channel(BackendKind kind,
                                         std::size_t capacity);
 

@@ -32,19 +32,14 @@ std::uint32_t frame_checksum(std::span<const std::uint8_t> payload) {
   return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
-void write_frame_header(std::uint8_t* dst,
-                        std::span<const std::uint8_t> payload) {
-  dst[0] = kFrameMagic0;
-  dst[1] = kFrameMagic1;
-  write_u32_be(dst + 2, static_cast<std::uint32_t>(payload.size()));
-  write_u32_be(dst + 6, frame_checksum(payload));
-}
-
 void append_frame(Bytes& out, std::span<const std::uint8_t> payload) {
   const std::size_t base = out.size();
   out.resize(base + kFrameHeaderBytes + payload.size());
   std::uint8_t* p = out.data() + base;
-  write_frame_header(p, payload);
+  p[0] = kFrameMagic0;
+  p[1] = kFrameMagic1;
+  write_u32_be(p + 2, static_cast<std::uint32_t>(payload.size()));
+  write_u32_be(p + 6, frame_checksum(payload));
   if (!payload.empty())
     std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
 }

@@ -1,8 +1,8 @@
 // Length-prefixed frame codec for the process-boundary E2 transport.
 //
-// Every backend (in-process, Unix-domain socket, shared-memory ring)
-// moves identical frames so the per-frame accounting — and therefore every
-// exported `transport.*` metric — is byte-identical regardless of backend:
+// Both backends (in-process queue, Unix-domain socket) move identical
+// frames so the per-frame accounting — and therefore every exported
+// `transport.*` metric — is byte-identical regardless of backend:
 //
 //   +------+------+-------------+-------------+----------------------+
 //   | 'X'  | 'E'  | payload_len | checksum    | payload ...          |
@@ -34,11 +34,6 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 24;
 
 /// FNV-1a/64 over the payload, xor-folded to 32 bits.
 std::uint32_t frame_checksum(std::span<const std::uint8_t> payload);
-
-/// Writes the 10-byte header for `payload` at `dst` (which must have room
-/// for kFrameHeaderBytes). Lets ring backends frame in place.
-void write_frame_header(std::uint8_t* dst,
-                        std::span<const std::uint8_t> payload);
 
 /// Appends one complete frame (header + payload) to `out`.
 void append_frame(Bytes& out, std::span<const std::uint8_t> payload);

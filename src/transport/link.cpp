@@ -1,55 +1,23 @@
 #include "transport/link.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
 #include "common/log.hpp"
-#include "transport/pump.hpp"
 
 namespace xsec::transport {
 
-BackendKind resolve_backend(const std::string& configured) {
-  // Same precedence as XSEC_RIC_SHARDS: an explicit config wins, the
-  // environment fills the default. Tests that pin a backend stay pinned
-  // even when a sanitize sweep exports XSEC_E2_TRANSPORT for the run.
-  if (!configured.empty()) {
-    auto parsed = parse_backend(configured);
-    if (parsed) return parsed.value();
-    XSEC_LOG_WARN("transport", "invalid configured E2 transport '",
-                  configured, "'; using inproc");
-    return BackendKind::kInProcess;
-  }
-  const char* env = std::getenv("XSEC_E2_TRANSPORT");
-  if (env != nullptr && *env != '\0') {
-    auto parsed = parse_backend(env);
-    if (parsed) return parsed.value();
-    XSEC_LOG_WARN("transport", "invalid XSEC_E2_TRANSPORT '", env,
-                  "'; using inproc");
-  }
+BackendKind resolve_backend(const std::string& name) {
+  if (name.empty()) return BackendKind::kInProcess;
+  auto parsed = parse_backend(name);
+  if (parsed) return parsed.value();
+  XSEC_LOG_WARN("transport", "invalid E2 transport '", name,
+                "'; using inproc");
   return BackendKind::kInProcess;
 }
 
 std::size_t resolve_capacity(std::size_t configured) {
-  constexpr std::size_t kMaxCapacity = std::size_t{1} << 30;
-  if (configured != 0) return std::min(configured, kMaxCapacity);
-  // Same precedence and strict-parse shape as XSEC_RIC_SHARDS: negatives
-  // and trailing garbage are rejected, an explicit config always wins.
-  const char* env = std::getenv("XSEC_E2_CAPACITY");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    // strtoull tolerates leading whitespace and a sign; reject both so the
-    // accepted grammar is exactly [0-9]+.
-    if (errno == 0 && end != env && *end == '\0' &&
-        env[0] >= '0' && env[0] <= '9' && v >= 1 && v <= kMaxCapacity) {
-      return static_cast<std::size_t>(v);
-    }
-    XSEC_LOG_WARN("transport", "invalid XSEC_E2_CAPACITY '", env,
-                  "'; using default");
-  }
-  return kDefaultChannelCapacity;
+  if (configured == 0) return kDefaultChannelCapacity;
+  return std::min(configured, kMaxChannelCapacity);
 }
 
 namespace {
@@ -73,11 +41,6 @@ FramedLink::FramedLink(LinkConfig cfg, obs::Observability* obs) {
   to_ric_ = make_or_fallback(cfg.backend, cfg.capacity);
   to_node_ = make_or_fallback(cfg.backend, cfg.capacity);
   tx_scratch_.reserve(16 * 1024);
-  pump_ = cfg.pump;
-  if (pump_ != nullptr) {
-    pump_->add(to_ric_.get());
-    pump_->add(to_node_.get());
-  }
 
   // Global (unscoped) names: every link binds the same registry rows, so
   // the catalog stays fixed-size regardless of site count, and the values
@@ -93,17 +56,15 @@ FramedLink::FramedLink(LinkConfig cfg, obs::Observability* obs) {
   ring_occupancy_ = &r.histogram("transport.ring_occupancy");
   frame_bytes_ = &r.histogram("transport.frame_bytes");
   flush_batch_ = &r.histogram("transport.flush_batch");
+  // Kernel entries differ per backend and host, so they count into the
+  // host registry, outside the deterministic exports.
+  obs::Counter* syscalls = &obs->host.counter("transport.syscalls");
+  to_ric_->set_syscall_counter(syscalls);
+  to_node_->set_syscall_counter(syscalls);
 
   auto corrupt = [this](std::size_t) { frames_corrupt_->inc(); };
   to_ric_->set_corrupt_hook(corrupt);
   to_node_->set_corrupt_hook(corrupt);
-}
-
-FramedLink::~FramedLink() {
-  if (pump_ != nullptr) {
-    pump_->remove(to_ric_.get());
-    pump_->remove(to_node_.get());
-  }
 }
 
 void FramedLink::set_ric_sink(DeliverSink sink) {
@@ -167,26 +128,12 @@ bool FramedLink::enqueue_to_node(std::uint64_t node_id, const Bytes& pdu) {
 
 void FramedLink::pump(E2Channel* ch, bool& pumping, std::uint64_t& batch,
                       std::size_t max_frames) {
-  // In event-driven mode the pump's drain wraps the channel pump with
-  // wakeup / frames-per-syscall accounting and dirty-list upkeep; the
-  // delivery order and timing are identical either way.
-  if (pumping) {
-    // Nested pump from a delivery side effect: the channel folds it into
-    // the outer drain; don't reset the outer batch counter.
-    if (pump_ != nullptr) {
-      pump_->drain(ch, max_frames);
-    } else {
-      ch->pump(max_frames);
-    }
-    return;
-  }
+  // A nested pump from a delivery side effect folds into the outer drain,
+  // which keeps its batch counter.
+  if (pumping) return;
   pumping = true;
   batch = 0;
-  if (pump_ != nullptr) {
-    pump_->drain(ch, max_frames);
-  } else {
-    ch->pump(max_frames);
-  }
+  ch->pump(max_frames);
   if (batch > 0) flush_batch_->observe(batch);
   pumping = false;
 }

@@ -1,6 +1,7 @@
 // A bidirectional framed E2 link: two channels (node -> RIC, RIC -> node)
 // of the same backend, plus the uniform payload framing and the global
-// `transport.*` instrument bindings.
+// `transport.*` instrument bindings (deterministic counters in
+// `obs.metrics`, the host-dependent `transport.syscalls` in `obs.host`).
 //
 // Payload layout in BOTH directions: [u64 BE node id][E2AP PDU bytes].
 // Using one encoder for both directions keeps the codec single-sourced and
@@ -19,30 +20,21 @@
 
 namespace xsec::transport {
 
-class EpollPump;
-
+/// Both directions of a link use the same backend and capacity.
 struct LinkConfig {
   BackendKind backend = BackendKind::kInProcess;
+  /// Logical per-direction capacity in bytes (identical accounting on
+  /// every backend, so backpressure never depends on the backend).
   std::size_t capacity = kDefaultChannelCapacity;
-  /// Event-driven pump to register both channels with (non-owning; must
-  /// outlive the link). nullptr = historical polled mode.
-  EpollPump* pump = nullptr;
 };
 
-/// Resolves the effective backend. An explicit `configured` value
-/// ("inproc" / "uds" / "shm") wins; when it is empty the
-/// XSEC_E2_TRANSPORT environment variable fills the default — the same
-/// precedence XSEC_RIC_SHARDS uses, so env sweeps re-run default-configured
-/// suites over a process-boundary backend without unpinning tests that set
-/// one deliberately. Invalid values warn and fall back to in-process.
-BackendKind resolve_backend(const std::string& configured);
+/// Maps a backend name ("inproc" / "uds") to its kind. Empty selects
+/// in-process; any other name warns and falls back to in-process.
+BackendKind resolve_backend(const std::string& name);
 
-/// Resolves the effective per-direction channel capacity in bytes. A
-/// non-zero `configured` value wins; when it is 0 the XSEC_E2_CAPACITY
-/// environment variable fills the default (strictly parsed — negatives,
-/// zero, trailing garbage, and values above 1 GiB are rejected with a
-/// warning), falling back to kDefaultChannelCapacity. Lets slow-reader
-/// and backpressure sweeps shrink the channel without a recompile.
+/// Effective per-direction channel capacity in bytes: 0 selects
+/// kDefaultChannelCapacity, anything else is capped at
+/// kMaxChannelCapacity.
 std::size_t resolve_capacity(std::size_t configured);
 
 class FramedLink {
@@ -53,7 +45,6 @@ class FramedLink {
       std::function<void(std::uint64_t, std::span<const std::uint8_t>)>;
 
   FramedLink(LinkConfig cfg, obs::Observability* obs);
-  ~FramedLink();
 
   void set_ric_sink(DeliverSink sink);
   void set_node_sink(DeliverSink sink);
@@ -83,9 +74,6 @@ class FramedLink {
   std::size_t capacity() const { return to_ric_->capacity(); }
   std::size_t pending_to_ric() const { return to_ric_->pending_bytes(); }
   std::size_t pending_to_node() const { return to_node_->pending_bytes(); }
-  /// The event-driven pump both channels are registered with (nullptr in
-  /// polled mode).
-  EpollPump* pump() const { return pump_; }
 
  private:
   /// Frames drained per burst inside ready_for() — enough that one burst
@@ -96,7 +84,6 @@ class FramedLink {
   void pump(E2Channel* ch, bool& pumping, std::uint64_t& batch,
             std::size_t max_frames = E2Channel::kNoFrameLimit);
 
-  EpollPump* pump_ = nullptr;
   std::unique_ptr<E2Channel> to_ric_;
   std::unique_ptr<E2Channel> to_node_;
   Bytes tx_scratch_;

@@ -2,15 +2,12 @@
 // (nonblocking SOCK_STREAM socketpair), so reads can return any byte
 // split and the FrameAssembler reassembles frames into a reusable arena.
 //
-// Two I/O shapes share the logical accounting:
-//   polled       — send() writes each frame to the kernel immediately
-//                  (one send(2) per frame); pump() reads until EAGAIN.
-//   event-driven — with an EpollPump attached, send() only stages the
-//                  frame in user space and rings the pump's doorbell; the
-//                  drain flushes the whole backlog with one writev(2) over
-//                  [spill | stage] and stops reading on a short read
-//                  (SOCK_STREAM returns min(queued, len), so a short read
-//                  proves the socket queue is empty — no EAGAIN probe).
+// I/O is batched: send() only stages the frame in user space (zero
+// syscalls); pump() flushes the whole backlog with one writev(2) over
+// [spill | stage], then reads with 64 KiB recv(2)s and stops on a short
+// read (SOCK_STREAM returns min(queued, len), so a short read proves the
+// socket queue is empty — no trailing EAGAIN probe). A burst therefore
+// costs about two kernel entries however many frames it holds.
 #include <cerrno>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -28,7 +25,6 @@ class UdsChannel final : public E2Channel {
  public:
   UdsChannel(std::size_t capacity, int tx_fd, int rx_fd)
       : E2Channel(capacity), tx_fd_(tx_fd), rx_fd_(rx_fd) {
-    frame_scratch_.reserve(16 * 1024);
     stage_.reserve(16 * 1024);
     assembler_.set_corrupt_hook([this](std::size_t skipped) {
       pending_ -= skipped;
@@ -37,7 +33,6 @@ class UdsChannel final : public E2Channel {
     deliver_ = [this](std::span<const std::uint8_t> payload,
                       std::size_t framed) {
       pending_ -= framed;
-      ++frames_delivered_;
       if (sink_) sink_(payload);
     };
   }
@@ -51,16 +46,7 @@ class UdsChannel final : public E2Channel {
     const std::size_t fs = framed_size(payload.size());
     if (!writable(fs)) return false;
     pending_ += fs;
-    if (pump_owner() != nullptr) {
-      // Event-driven mode: stage in user space — zero syscalls here; the
-      // pump's drain coalesces the whole backlog into one writev.
-      append_frame(stage_, payload);
-      notify_pump();
-      return true;
-    }
-    frame_scratch_.clear();
-    append_frame(frame_scratch_, payload);
-    write_bytes(frame_scratch_.data(), frame_scratch_.size());
+    append_frame(stage_, payload);
     return true;
   }
 
@@ -83,16 +69,15 @@ class UdsChannel final : public E2Channel {
       budget -= assembler_.feed(
           std::span<const std::uint8_t>(chunk_, static_cast<std::size_t>(n)),
           deliver_, budget);
-      if (pump_owner() != nullptr &&
-          static_cast<std::size_t>(n) < sizeof(chunk_) && stage_.empty() &&
+      // Short read == kernel queue empty; loop again only when delivery
+      // side effects staged more frames that still have to cross.
+      if (static_cast<std::size_t>(n) < sizeof(chunk_) && stage_.empty() &&
           spill_.empty()) {
-        break;  // short read == kernel queue empty; skip the EAGAIN probe
+        break;
       }
     }
     pumping_ = false;
   }
-
-  int readable_fd() const override { return rx_fd_; }
 
   void set_max_write_per_syscall_for_test(std::size_t cap) override {
     max_write_per_syscall_ = cap;
@@ -101,35 +86,6 @@ class UdsChannel final : public E2Channel {
   BackendKind kind() const override { return BackendKind::kUds; }
 
  private:
-  /// Polled-mode immediate write (one send(2) per frame, EINTR retried;
-  /// kernel-refused remainder spills to user space).
-  void write_bytes(const std::uint8_t* data, std::size_t n) {
-    // Preserve stream order: if earlier bytes are still spilled, append —
-    // flushing happens at the next send or pump.
-    if (!spill_.empty()) {
-      spill_.insert(spill_.end(), data, data + n);
-      flush_tx();
-      return;
-    }
-    std::size_t off = 0;
-    while (off < n) {
-      std::size_t want = n - off;
-      if (max_write_per_syscall_ > 0)
-        want = std::min(want, max_write_per_syscall_);
-      ssize_t w = ::send(tx_fd_, data + off, want, MSG_NOSIGNAL);
-      count_io();
-      if (w > 0) {
-        off += static_cast<std::size_t>(w);
-        continue;
-      }
-      if (w < 0 && errno == EINTR) continue;
-      // Kernel buffer full (or peer gone): stash the remainder; logical
-      // accounting already counted these bytes as pending.
-      spill_.insert(spill_.end(), data + off, data + n);
-      return;
-    }
-  }
-
   /// Flushes the tx backlog — kernel-refused spill first, then staged
   /// frames — with one writev per syscall so a multi-frame burst crosses
   /// in a single kernel entry. On EAGAIN the unflushed stage folds behind
@@ -189,8 +145,7 @@ class UdsChannel final : public E2Channel {
 
   int tx_fd_;
   int rx_fd_;
-  Bytes frame_scratch_;
-  Bytes stage_;  // frames staged by event-driven send(), not yet written
+  Bytes stage_;  // frames staged by send(), not yet written
   Bytes spill_;  // bytes the kernel refused (stream-ordered before stage_)
   FrameAssembler assembler_;
   FrameAssembler::Sink deliver_;

@@ -414,36 +414,27 @@ TEST_F(ChaosDetectTest, TransportBackendNeverChangesAnyExportedByte) {
   // The determinism oracle of the transport layer: under a fixed seed the
   // Prometheus export, the JSON snapshot, the robustness counters, and
   // every anomaly report are byte-identical whether E2AP frames cross an
-  // in-process queue, a real Unix-domain socket, or a shared-memory ring —
-  // at any shard count, in either pump mode, with chaos faults, multi-site
-  // traffic, an attack, and gap quarantine all active. All backends share
-  // the frame codec and the logical capacity accounting, and the
-  // event-driven pump only changes HOW bytes cross a channel (batched
-  // syscalls), never WHEN frames deliver — so no counter can diverge.
-  auto run = [&](const std::string& backend, std::size_t shards,
-                 const std::string& pump) {
+  // in-process queue or a real Unix-domain socket — at any shard count,
+  // with chaos faults, multi-site traffic, an attack, and gap quarantine
+  // all active. Both backends share the frame codec and the logical
+  // capacity accounting, and the UDS batching only changes HOW bytes cross
+  // the socket (staged writes, short-read stop), never WHEN frames deliver
+  // — so no counter can diverge.
+  auto run = [&](const std::string& backend, std::size_t shards) {
     core::PipelineConfig config;
     config.testbed.num_cells = 2;
     config.ric_shards = shards;
     config.e2_transport = backend;
-    config.e2_pump = pump;
     config.fault_plan.drop_probability = 0.05;
     config.fault_plan.reorder_probability = 0.10;
     config.fault_plan.link_epochs = {
         {SimTime::from_ms(1500), SimDuration::from_ms(300)}};
     config.fault_plan.seed = 0xD373C7;
     core::Pipeline pipeline(config);
-    if (!backend.empty()) {
-      auto expected = transport::parse_backend(backend);
-      EXPECT_TRUE(expected.ok());
-      if (expected.ok()) {
-        EXPECT_EQ(pipeline.e2_backend(), expected.value());
-      }
-    }
-    if (pump == "epoll") {
-      EXPECT_EQ(pipeline.e2_pump_mode(), transport::PumpMode::kEpoll);
-      EXPECT_NE(pipeline.e2_pump(), nullptr);
-    }
+    // The env-default run (empty backend) executes under
+    // XSEC_E2_TRANSPORT=uds.
+    EXPECT_EQ(pipeline.e2_backend(),
+              transport::resolve_backend(backend.empty() ? "uds" : backend));
     ChaosSnapshot snap;
     pipeline.ric().router().subscribe(
         oran::kMtAnomalyWindow, [&snap](const oran::RoutedMessage& m) {
@@ -463,52 +454,33 @@ TEST_F(ChaosDetectTest, TransportBackendNeverChangesAnyExportedByte) {
     return snap;
   };
 
-  ChaosSnapshot reference = run("inproc", 1, "polled");
+  ChaosSnapshot reference = run("inproc", 1);
   EXPECT_FALSE(reference.incidents.empty()) << "attack must produce reports";
-  struct Sweep {
-    const char* backend;
-    std::size_t shards;
-    const char* pump;
-  };
-  for (Sweep sweep : {// Historical polled mode across backends and shards.
-                      Sweep{"uds", 1, "polled"}, Sweep{"shm", 1, "polled"},
-                      Sweep{"uds", 2, "polled"}, Sweep{"shm", 4, "polled"},
-                      // Event-driven pump: same bytes on every backend at
-                      // every shard count.
-                      Sweep{"inproc", 1, "epoll"}, Sweep{"uds", 1, "epoll"},
-                      Sweep{"shm", 1, "epoll"}, Sweep{"uds", 2, "epoll"},
-                      Sweep{"shm", 4, "epoll"}}) {
-    SCOPED_TRACE(std::string(sweep.backend) + " backend, " +
-                 std::to_string(sweep.shards) + " shards, " + sweep.pump +
-                 " pump");
-    ChaosSnapshot other = run(sweep.backend, sweep.shards, sweep.pump);
-    EXPECT_EQ(other.prometheus, reference.prometheus);
-    EXPECT_EQ(other.json, reference.json);
-    EXPECT_EQ(other.stats_text, reference.stats_text);
-    EXPECT_EQ(other.incidents, reference.incidents);
+  for (const char* backend : {"inproc", "uds"}) {
+    for (std::size_t shards : {1u, 2u, 4u}) {
+      if (std::string(backend) == "inproc" && shards == 1) continue;
+      SCOPED_TRACE(std::string(backend) + " backend, " +
+                   std::to_string(shards) + " shards");
+      ChaosSnapshot other = run(backend, shards);
+      EXPECT_EQ(other.prometheus, reference.prometheus);
+      EXPECT_EQ(other.json, reference.json);
+      EXPECT_EQ(other.stats_text, reference.stats_text);
+      EXPECT_EQ(other.incidents, reference.incidents);
+    }
   }
 
-  // The environment defaults reach the same code paths: an empty config
-  // with XSEC_E2_TRANSPORT=shm and XSEC_E2_PUMP=epoll must match the
-  // reference byte for byte too. Preserve any sweep-provided values so
-  // later tests in this binary still see them (scripts/sanitize.sh exports
-  // them across a whole ctest run).
+  // The environment default reaches the same code paths: an empty config
+  // with XSEC_E2_TRANSPORT=uds must match the reference byte for byte too.
+  // Preserve any sweep-provided value so later tests in this binary still
+  // see it (scripts/sanitize.sh exports it across a whole ctest run).
   const char* prior_env = getenv("XSEC_E2_TRANSPORT");
   std::string saved_env = prior_env ? prior_env : "";
-  const char* prior_pump = getenv("XSEC_E2_PUMP");
-  std::string saved_pump = prior_pump ? prior_pump : "";
-  setenv("XSEC_E2_TRANSPORT", "shm", 1);
-  setenv("XSEC_E2_PUMP", "epoll", 1);
-  ChaosSnapshot from_env = run("", 1, "");
+  setenv("XSEC_E2_TRANSPORT", "uds", 1);
+  ChaosSnapshot from_env = run("", 1);
   if (prior_env) {
     setenv("XSEC_E2_TRANSPORT", saved_env.c_str(), 1);
   } else {
     unsetenv("XSEC_E2_TRANSPORT");
-  }
-  if (prior_pump) {
-    setenv("XSEC_E2_PUMP", saved_pump.c_str(), 1);
-  } else {
-    unsetenv("XSEC_E2_PUMP");
   }
   EXPECT_EQ(from_env.prometheus, reference.prometheus);
   EXPECT_EQ(from_env.json, reference.json);
@@ -528,9 +500,12 @@ TEST(ChaosShards, EnvironmentVariableSelectsShardCount) {
   unsetenv("XSEC_RIC_SHARDS");
   core::Pipeline fallback{core::PipelineConfig{}};
   EXPECT_EQ(fallback.ric_shards(), 1u);
-  // Malformed values fall back to 1 instead of wrapping ("-1" would hit
-  // the 64-shard clamp via ULONG_MAX) or parsing a prefix ("4x").
-  for (const char* bad : {"-1", "4x", "0", "", "shards"}) {
+  // Malformed values fall back to 1 instead of wrapping ("-1"), parsing a
+  // prefix ("4x"), skipping whitespace or a sign (" 4", "+4"), or clamping
+  // an overflowing value to the 64-shard ceiling. The grammar is exactly
+  // [0-9]+, the same as XSEC_E2_CAPACITY's.
+  for (const char* bad : {"-1", "4x", "0", "", "shards", " 4", "+4",
+                          "99999999999999999999"}) {
     SCOPED_TRACE(std::string("XSEC_RIC_SHARDS=") + bad);
     setenv("XSEC_RIC_SHARDS", bad, 1);
     core::Pipeline rejected{core::PipelineConfig{}};

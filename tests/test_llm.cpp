@@ -2,6 +2,9 @@
 // extraction, personalities (Table 3 calibration), clients, analyzer xApp.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+
 #include "common/strings.hpp"
 #include "llm/analyzer_xapp.hpp"
 #include "llm/client.hpp"
@@ -314,6 +317,18 @@ const Table3Case kTable3[] = {
     {"Llama3", SignatureKind::kNullCipherDowngrade, true},
     {"Claude 3 Sonnet", SignatureKind::kNullCipherDowngrade, true},
 };
+
+// Prints a case as its model and attack (e.g. "Claude3Sonnet_tmsi_replay");
+// test discovery names each case after this. Without it gtest prints the
+// struct's raw bytes, which hold the address of the model string and so
+// change with every process start under ASLR.
+void PrintTo(const Table3Case& test_case, std::ostream* os) {
+  for (const char* c = test_case.model; *c != '\0'; ++c) {
+    if (std::isalnum(static_cast<unsigned char>(*c))) *os << *c;
+  }
+  *os << '_';
+  for (char c : to_string(test_case.attack)) *os << (c == '-' ? '_' : c);
+}
 
 class Table3Matrix : public ::testing::TestWithParam<Table3Case> {};
 
