@@ -1,6 +1,8 @@
 #include "dl/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace xsec::dl {
 
@@ -33,157 +35,136 @@ Matrix Matrix::transposed() const {
 
 namespace {
 
-// Raw-pointer matmul kernel bodies. Each output element accumulates its
-// products over k in ascending order with a separate rounding per step, so
-// every kernel below — and the AVX2 variants, which only widen how many
-// *independent* column chains run per instruction — produces bit-identical
-// results. The AVX2 wrappers enable avx2 but NOT fma, so the compiler
-// cannot contract mul+add pairs into differently-rounded FMAs.
+// The one matmul kernel. Each output element accumulates its products over
+// k in ascending order with a separate rounding per step, exactly like the
+// textbook loop, so the baseline and AVX2 builds (which only widen how many
+// *independent* column chains run per instruction) are bit-identical. The
+// AVX2 wrapper enables avx2 but NOT fma, so the compiler cannot contract
+// mul+add pairs into differently-rounded FMAs.
+//
+// Zero a-elements are skipped: with finite b, a skipped 0*b product is ±0,
+// and adding ±0 to an accumulator that starts at +0 never changes its bits
+// (round-to-nearest only yields -0 from -0 + -0). Every autoencoder layer's
+// live input is 36-53% exact zeros (standardized one-hot features, ReLU
+// outputs), so the skip drops about as large a share of the multiply-adds.
+//
+// Rows are processed in blocks of kRowBlock. For a block, each row's
+// nonzero elements are listed once, as values and as offsets of b's row k
+// (k * cols), into kRowBlock × inner scratch slots. Column tiles then run
+// OUTER and the block's rows INNER, so a b tile stays cache-hot across the
+// block; the listed walk needs no index multiply per k. A tile keeps its
+// Tile/8 accumulators in vector registers (8 ymm chains for the 64 tile
+// under AVX2, enough to hide vaddps latency); the explicit vector type and
+// unroll are what keep them out of memory at -O2. Narrower trailing tiles
+// (32/8/scalar) cover the remaining columns.
+constexpr std::size_t kRowBlock = 16;
 
-// Zero-skip kernel: row-outer so each skipped a-element skips a whole row
-// of b. Wins on sparse inputs (one-hot encoder rows) where most of b is
-// never touched.
-__attribute__((always_inline)) inline void sparse_body(const float* a, std::size_t rows, std::size_t inner,
-                        const float* b, std::size_t cols, float* out) {
+// Eight floats, loaded from any float-aligned address; may_alias makes
+// reading b's floats through it well-defined. Lane-wise * and + round each
+// lane exactly like the scalar ops.
+typedef float Float8
+    __attribute__((vector_size(32), aligned(alignof(float)), may_alias));
+
+template <int Tile>
+__attribute__((always_inline)) inline void tile_rows(
+    std::size_t rows, std::size_t inner, const float* b, std::size_t cols,
+    float* out, const float* values, const std::uint32_t* offsets,
+    const std::uint32_t* nnz, std::size_t c0) {
+  const float* bc = b + c0;
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* arow = a + r * inner;
-    float* orow = out + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) orow[c] = 0.0f;
-    for (std::size_t k = 0; k < inner; ++k) {
-      float av = arow[k];
-      if (av == 0.0f) continue;  // one-hot inputs are mostly zero
-      const float* brow = b + k * cols;
-      for (std::size_t c = 0; c < cols; ++c) orow[c] += av * brow[c];
+    const float* vs = values + r * inner;
+    const std::uint32_t* os = offsets + r * inner;
+    const std::uint32_t n = nnz[r];
+    float* orow = out + r * cols + c0;
+    if constexpr (Tile == 1) {
+      float acc = 0.0f;
+      for (std::uint32_t t = 0; t < n; ++t) acc += vs[t] * bc[os[t]];
+      orow[0] = acc;
+    } else {
+      constexpr int kVecs = Tile / 8;
+      Float8 acc[kVecs] = {};
+      for (std::uint32_t t = 0; t < n; ++t) {
+        const float av = vs[t];
+        const Float8* bp = reinterpret_cast<const Float8*>(bc + os[t]);
+#pragma GCC unroll 8
+        for (int j = 0; j < kVecs; ++j) acc[j] += av * bp[j];
+      }
+      Float8* ov = reinterpret_cast<Float8*>(orow);
+#pragma GCC unroll 8
+      for (int j = 0; j < kVecs; ++j) ov[j] = acc[j];
     }
   }
 }
 
-// Register-blocked dense kernel, column-tile OUTER and row INNER: the b
-// tile (inner × tile floats, ~28-56KB for this repo's layer shapes) stays
-// hot in L1 across every row of a, so batched scoring amortizes the weight
-// traffic that dominates single-row matmuls. KBig accumulators per tile
-// give the FP units enough independent add chains to hide vaddps latency;
-// narrower trailing tiles (32/8/scalar) cover the remaining columns.
 template <int KBig>
-__attribute__((always_inline)) inline void dense_body(const float* a, std::size_t rows, std::size_t inner,
-                       const float* b, std::size_t cols, float* out) {
-  std::size_t c0 = 0;
-  for (; c0 + KBig <= cols; c0 += KBig) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* arow = a + r * inner;
-      float acc[KBig] = {};
-      const float* bp = b + c0;
-      for (std::size_t k = 0; k < inner; ++k, bp += cols) {
-        const float av = arow[k];
-        for (int j = 0; j < KBig; ++j) acc[j] += av * bp[j];
+__attribute__((always_inline)) inline void matmul_body(
+    const float* a, std::size_t rows, std::size_t inner, const float* b,
+    std::size_t cols, float* out, float* values, std::uint32_t* offsets) {
+  std::uint32_t nnz[kRowBlock];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kRowBlock) {
+    const std::size_t block = std::min(kRowBlock, rows - r0);
+    float* oblk = out + r0 * cols;
+    for (std::size_t r = 0; r < block; ++r) {
+      const float* arow = a + (r0 + r) * inner;
+      float* vs = values + r * inner;
+      std::uint32_t* os = offsets + r * inner;
+      std::uint32_t n = 0;
+      for (std::size_t k = 0; k < inner; ++k) {
+        vs[n] = arow[k];
+        os[n] = static_cast<std::uint32_t>(k * cols);
+        n += (arow[k] != 0.0f);
       }
-      float* orow = out + r * cols;
-      for (int j = 0; j < KBig; ++j) orow[c0 + j] = acc[j];
+      nnz[r] = n;
     }
-  }
-  if constexpr (KBig > 32) {
-    for (; c0 + 32 <= cols; c0 += 32) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        const float* arow = a + r * inner;
-        float acc[32] = {};
-        const float* bp = b + c0;
-        for (std::size_t k = 0; k < inner; ++k, bp += cols) {
-          const float av = arow[k];
-          for (int j = 0; j < 32; ++j) acc[j] += av * bp[j];
-        }
-        float* orow = out + r * cols;
-        for (int j = 0; j < 32; ++j) orow[c0 + j] = acc[j];
-      }
-    }
-  }
-  for (; c0 + 8 <= cols; c0 += 8) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* arow = a + r * inner;
-      float acc[8] = {};
-      const float* bp = b + c0;
-      for (std::size_t k = 0; k < inner; ++k, bp += cols) {
-        const float av = arow[k];
-        for (int j = 0; j < 8; ++j) acc[j] += av * bp[j];
-      }
-      float* orow = out + r * cols;
-      for (int j = 0; j < 8; ++j) orow[c0 + j] = acc[j];
-    }
-  }
-  for (; c0 < cols; ++c0) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* arow = a + r * inner;
-      float acc = 0.0f;
-      const float* bp = b + c0;
-      for (std::size_t k = 0; k < inner; ++k, bp += cols) acc += arow[k] * bp[0];
-      out[r * cols + c0] = acc;
-    }
+    std::size_t c0 = 0;
+    for (; c0 + KBig <= cols; c0 += KBig)
+      tile_rows<KBig>(block, inner, b, cols, oblk, values, offsets, nnz, c0);
+    if constexpr (KBig > 32)
+      for (; c0 + 32 <= cols; c0 += 32)
+        tile_rows<32>(block, inner, b, cols, oblk, values, offsets, nnz, c0);
+    for (; c0 + 8 <= cols; c0 += 8)
+      tile_rows<8>(block, inner, b, cols, oblk, values, offsets, nnz, c0);
+    for (; c0 < cols; ++c0)
+      tile_rows<1>(block, inner, b, cols, oblk, values, offsets, nnz, c0);
   }
 }
 
 using MatmulKernelFn = void (*)(const float*, std::size_t, std::size_t,
-                                const float*, std::size_t, float*);
+                                const float*, std::size_t, float*, float*,
+                                std::uint32_t*);
 
-// Baseline (portable) instantiations. SSE2 has 16 xmm registers; a 64-wide
+// Baseline (portable) instantiation. SSE2 has 16 xmm registers; a 64-wide
 // tile would spill, so the baseline uses 32 (8 xmm accumulator chains).
-void kernel_dense_base(const float* a, std::size_t rows, std::size_t inner,
-                       const float* b, std::size_t cols, float* out) {
-  dense_body<32>(a, rows, inner, b, cols, out);
-}
-void kernel_sparse_base(const float* a, std::size_t rows, std::size_t inner,
-                        const float* b, std::size_t cols, float* out) {
-  sparse_body(a, rows, inner, b, cols, out);
+void kernel_base(const float* a, std::size_t rows, std::size_t inner,
+                 const float* b, std::size_t cols, float* out, float* values,
+                 std::uint32_t* offsets) {
+  matmul_body<32>(a, rows, inner, b, cols, out, values, offsets);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-// AVX2 variants, picked at load time when the host supports them. The
-// bodies inline into these wrappers and get compiled at the wider ISA: the
-// 64-wide tile becomes 8 independent ymm accumulator chains — enough to
-// saturate both FP ports — and the zero-skip column loop runs 8-wide.
-__attribute__((target("avx2"))) void kernel_dense_avx2(
+// AVX2 variant, picked at load time when the host supports it. The body
+// inlines into this wrapper and gets compiled at the wider ISA: the 64-wide
+// tile becomes 8 independent ymm accumulator chains, enough to saturate
+// both FP ports.
+__attribute__((target("avx2"))) void kernel_avx2(
     const float* a, std::size_t rows, std::size_t inner, const float* b,
-    std::size_t cols, float* out) {
-  dense_body<64>(a, rows, inner, b, cols, out);
-}
-__attribute__((target("avx2"))) void kernel_sparse_avx2(
-    const float* a, std::size_t rows, std::size_t inner, const float* b,
-    std::size_t cols, float* out) {
-  sparse_body(a, rows, inner, b, cols, out);
+    std::size_t cols, float* out, float* values, std::uint32_t* offsets) {
+  matmul_body<64>(a, rows, inner, b, cols, out, values, offsets);
 }
 
-MatmulKernelFn pick_dense_kernel() {
-  return __builtin_cpu_supports("avx2") ? kernel_dense_avx2
-                                        : kernel_dense_base;
-}
-MatmulKernelFn pick_sparse_kernel() {
-  return __builtin_cpu_supports("avx2") ? kernel_sparse_avx2
-                                        : kernel_sparse_base;
+MatmulKernelFn pick_kernel() {
+  return __builtin_cpu_supports("avx2") ? kernel_avx2 : kernel_base;
 }
 #else
-MatmulKernelFn pick_dense_kernel() { return kernel_dense_base; }
-MatmulKernelFn pick_sparse_kernel() { return kernel_sparse_base; }
+MatmulKernelFn pick_kernel() { return kernel_base; }
 #endif
 
-const MatmulKernelFn g_dense_kernel = pick_dense_kernel();
-const MatmulKernelFn g_sparse_kernel = pick_sparse_kernel();
-
-float density_prefix(const Matrix& a, std::size_t rows) {
-  const std::size_t n = rows * a.cols();
-  if (n == 0) return 1.0f;
-  std::size_t nonzero = 0;
-  const float* p = a.data().data();
-  for (std::size_t i = 0; i < n; ++i) nonzero += (p[i] != 0.0f);
-  return static_cast<float>(nonzero) / static_cast<float>(n);
-}
+const MatmulKernelFn g_kernel = pick_kernel();
 
 }  // namespace
 
-float density(const Matrix& a) { return density_prefix(a, a.rows()); }
-
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  if (density(a) >= kDenseDispatchDensity)
-    matmul_dense_into(a, b, out);
-  else
-    matmul_sparse_into(a, b, out);
+  matmul_prefix_into(a, a.rows(), b, out);
 }
 
 void matmul_prefix_into(const Matrix& a, std::size_t a_rows, const Matrix& b,
@@ -192,28 +173,18 @@ void matmul_prefix_into(const Matrix& a, std::size_t a_rows, const Matrix& b,
   assert(a.cols() == b.rows());
   assert(&out != &a && &out != &b);
   out.resize(a_rows, b.cols());
-  if (density_prefix(a, a_rows) >= kDenseDispatchDensity)
-    g_dense_kernel(a.data().data(), a_rows, a.cols(), b.data().data(),
-                   b.cols(), out.data().data());
-  else
-    g_sparse_kernel(a.data().data(), a_rows, a.cols(), b.data().data(),
-                    b.cols(), out.data().data());
-}
-
-void matmul_sparse_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols() == b.rows());
-  assert(&out != &a && &out != &b);
-  out.resize(a.rows(), b.cols());
-  g_sparse_kernel(a.data().data(), a.rows(), a.cols(), b.data().data(),
-                  b.cols(), out.data().data());
-}
-
-void matmul_dense_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols() == b.rows());
-  assert(&out != &a && &out != &b);
-  out.resize(a.rows(), b.cols());
-  g_dense_kernel(a.data().data(), a.rows(), a.cols(), b.data().data(),
-                 b.cols(), out.data().data());
+  assert(b.size() <= UINT32_MAX);  // b row offsets are 32-bit
+  // Per-thread nonzero scratch for one row block. It only grows (to
+  // kRowBlock × the widest inner dimension seen), so a warmed thread never
+  // allocates here again.
+  thread_local std::vector<float> values;
+  thread_local std::vector<std::uint32_t> offsets;
+  if (values.size() < kRowBlock * a.cols()) {
+    values.resize(kRowBlock * a.cols());
+    offsets.resize(kRowBlock * a.cols());
+  }
+  g_kernel(a.data().data(), a_rows, a.cols(), b.data().data(), b.cols(),
+           out.data().data(), values.data(), offsets.data());
 }
 
 void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out) {

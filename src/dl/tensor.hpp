@@ -13,8 +13,9 @@
 //     the `_into` kernels, kept for the training/backprop code where a
 //     fresh temporary per op is fine.
 // Every kernel accumulates each output element over k in ascending order,
-// so the sparse zero-skip path, the register-blocked dense path, and the
-// wrappers all produce bit-identical results for finite inputs.
+// so the zero-skipping register-blocked matmul, its AVX2 build, and the
+// wrappers all produce results bit-identical to the textbook loop for
+// finite inputs.
 #pragma once
 
 #include <cassert>
@@ -82,27 +83,17 @@ class Matrix {
 
 // ---- `_into` kernels (allocation-free once `out` has capacity) ----------
 
-/// Fraction of nonzero elements in [0, 1] (1 for an empty matrix).
-float density(const Matrix& a);
-
-/// Density at or above which matmul_into picks the register-blocked dense
-/// kernel over the zero-skip loop. One-hot encoder rows sit far below it;
-/// standardized hidden activations sit far above.
-inline constexpr float kDenseDispatchDensity = 0.25f;
-
-/// out = a (r×k) * b (k×c). Dispatches on density(a): the zero-skip loop
-/// for sparse inputs (one-hot rows), the register-blocked kernel for dense
-/// ones. Both orders are bit-identical.
+/// out = a (r×k) * b (k×c). The one matmul kernel: register-blocked column
+/// tiles over only the nonzero elements of each a-row, bit-identical to the
+/// textbook loop (see the header comment). Its only heap use is a
+/// per-thread scratch of 16 × k (value, offset) pairs, grown on the first
+/// call at a new widest k; a thread that has run its widest shape never
+/// allocates here.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = first `a_rows` rows of a (a_rows×k) * b (k×c). Lets a caller
 /// multiply a prefix of a taller workspace matrix without copying it.
 void matmul_prefix_into(const Matrix& a, std::size_t a_rows, const Matrix& b,
                         Matrix& out);
-/// Zero-skip kernel: skips a's zero elements (the reference loop).
-void matmul_sparse_into(const Matrix& a, const Matrix& b, Matrix& out);
-/// Register-blocked kernel: per output row, column tiles are accumulated
-/// in registers with no per-element branch.
-void matmul_dense_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a (r×k) * b^T (c×k).
 void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a^T (k×r) * b (k×c).

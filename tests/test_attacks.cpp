@@ -201,8 +201,9 @@ TEST(NullCipher, DowngradesSessionToNullAlgorithms) {
     if (entry.record.msg == MsgType::kSecurityModeCommand &&
         entry.record.cipher_alg == mobiflow::vocab::CipherAlg::kNea0)
       saw_null_smc = true;
-    if (entry.malicious)
+    if (entry.malicious) {
       EXPECT_EQ(entry.record.cipher_alg, mobiflow::vocab::CipherAlg::kNea0);
+    }
   }
   EXPECT_TRUE(saw_null_smc);
   auto stats = llm::extract_stats(trace);

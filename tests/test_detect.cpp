@@ -228,9 +228,11 @@ TEST(Features, LoadEmittedOnlyOnEstablishmentMessages) {
   // A bystander measurement report must carry all-zero load dims.
   auto v = encoder.encode(
       make_record("RRC", "MeasurementReport", "UL", 99, 5000, 99), ctx);
-  for (std::size_t i = 0; i < encoder.dim(); ++i)
-    if (encoder.feature_name(i).rfind("load.", 0) == 0)
+  for (std::size_t i = 0; i < encoder.dim(); ++i) {
+    if (encoder.feature_name(i).rfind("load.", 0) == 0) {
       EXPECT_EQ(v[i], 0.0f) << encoder.feature_name(i);
+    }
+  }
 }
 
 TEST(Features, PendingAuthTracksChallengeLifecycle) {

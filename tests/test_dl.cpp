@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <thread>
 
 #include "detect/ensemble.hpp"
 #include "detect/scorer.hpp"
@@ -440,7 +442,7 @@ TEST(Serialize, LstmModelRoundTrip) {
 // move when the fast kernels are used. These are exact-equality checks.
 
 /// Textbook per-element matmul, accumulating over k in ascending order —
-/// the FP order both production kernels must preserve.
+/// the FP order the production kernel must preserve.
 Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (std::size_t r = 0; r < a.rows(); ++r)
@@ -452,32 +454,68 @@ Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+/// Same shape and the same float bit patterns (so a -0/+0 flip fails).
+::testing::AssertionResult same_bits(const Matrix& want, const Matrix& got) {
+  if (!want.same_shape(got))
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << ", want "
+           << want.rows() << "x" << want.cols();
+  if (want.size() != 0 &&
+      std::memcmp(want.data().data(), got.data().data(),
+                  want.size() * sizeof(float)) != 0)
+    return ::testing::AssertionFailure() << "float bits differ";
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FusedKernels, MatmulVariantsBitIdenticalAcrossShapesAndDensities) {
   Rng rng(71);
+  // cols hit every tile tail (64/32/8/1 under AVX2, 32/8/1 baseline);
+  // inner spans single-k up to the AE's 5 × 83 flattened window.
+  const std::size_t kCols[] = {1, 7, 8, 31, 33, 64, 65, 128, 415};
+  const std::size_t kInner[] = {1, 9, 83, 415};
+  const double kDensities[] = {0.0, 0.1, 0.5, 1.0};
   // Reused across iterations so the capacity-retaining resize path (shrink
   // then regrow) is exercised, not just fresh buffers.
-  Matrix sparse_out, dense_out, dispatched;
-  for (int iter = 0; iter < 40; ++iter) {
-    std::size_t m = rng.uniform_u64(1, 17);
-    std::size_t k = rng.uniform_u64(1, 33);
-    std::size_t n = rng.uniform_u64(1, 41);  // crosses the 8-wide tile edge
-    double density = rng.uniform();
-    Matrix a(m, k);
-    Matrix b(k, n);
-    for (float& v : a.data())
-      v = rng.chance(density) ? static_cast<float>(rng.uniform(-2, 2)) : 0.0f;
-    for (float& v : b.data()) v = static_cast<float>(rng.uniform(-2, 2));
+  Matrix into_out, prefix_out;
+  std::size_t case_no = 0;
+  for (std::size_t n : kCols)
+    for (std::size_t k : kInner)
+      for (double density : kDensities) {
+        // 1..40 rows: below, at and across the 16-row block edge.
+        const std::size_t m = 1 + (case_no * 7) % 40;
+        ++case_no;
+        // One extra row past the prefix, never zero, so a prefix multiply
+        // that read it would show.
+        Matrix a(m + 1, k);
+        Matrix b(k, n);
+        for (float& v : a.data()) {
+          if (rng.chance(density))
+            v = static_cast<float>(rng.uniform(-2, 2));
+          else
+            v = rng.chance(0.5) ? -0.0f : 0.0f;
+        }
+        for (std::size_t r = 0; r < m; r += 5)  // all-zero rows
+          if (density > 0.0 && density < 1.0)
+            for (std::size_t c = 0; c < k; ++c) a.at(r, c) = 0.0f;
+        for (std::size_t c = 0; c < k; ++c) a.at(m, c) = 1.0f;
+        for (float& v : b.data()) {
+          const double u = rng.uniform();
+          v = u < 0.05   ? 0.0f
+              : u < 0.1 ? -0.0f
+                        : static_cast<float>(rng.uniform(-2, 2));
+        }
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << " * " << k
+                                          << "x" << n << " density "
+                                          << density);
 
-    Matrix ref = naive_matmul(a, b);
-    matmul_sparse_into(a, b, sparse_out);
-    matmul_dense_into(a, b, dense_out);
-    matmul_into(a, b, dispatched);
-    Matrix allocating = matmul(a, b);
-    ASSERT_EQ(ref.data(), sparse_out.data()) << "iter " << iter;
-    ASSERT_EQ(ref.data(), dense_out.data()) << "iter " << iter;
-    ASSERT_EQ(ref.data(), dispatched.data()) << "iter " << iter;
-    ASSERT_EQ(ref.data(), allocating.data()) << "iter " << iter;
-  }
+        matmul_prefix_into(a, m, b, prefix_out);
+        a.resize(m, k);  // drops the extra row, keeps the first m
+        const Matrix ref = naive_matmul(a, b);
+        ASSERT_TRUE(same_bits(ref, prefix_out));
+        matmul_into(a, b, into_out);
+        ASSERT_TRUE(same_bits(ref, into_out));
+        ASSERT_TRUE(same_bits(ref, matmul(a, b)));
+      }
 }
 
 TEST(FusedKernels, IntoAndInplaceElementwiseMatchAllocatingOps) {
@@ -729,6 +767,28 @@ TEST(FusedKernels, LstmFusedPathMatchesGateByGateReference) {
 
 // --- Zero-allocation guarantee ----------------------------------------
 
+/// Heap allocations made by scoring a live-shaped autoencoder (window 5,
+/// 83 features, hidden {128, 32}) over 0/1 feature rows, after one warm-up
+/// at the largest batch — all on the calling thread.
+std::uint64_t real_shape_scoring_allocs() {
+  const std::size_t window = 5;
+  const std::size_t dim = 83;
+  detect::AutoencoderDetector ae(window, dim, {}, {128, 32});
+  Rng rng(76);
+  const std::size_t max_windows = 16;
+  std::vector<float> rows((max_windows + window) * dim);
+  for (float& v : rows) v = rng.chance(0.1) ? 1.0f : 0.0f;
+  std::vector<double> scores(max_windows);
+  ae.score_windows(rows.data(), dim, window, max_windows, scores.data());
+
+  const std::uint64_t before = g_heap_allocs.load();
+  ae.score_window(rows.data(), window);
+  ae.score_windows(rows.data(), dim, window, 1, scores.data());
+  ae.score_windows(rows.data(), dim, window, 8, scores.data());
+  ae.score_windows(rows.data(), dim, window, max_windows, scores.data());
+  return g_heap_allocs.load() - before;
+}
+
 TEST(Allocation, WarmedDetectorScoringAllocatesNothing) {
   const std::size_t window = 5;
   const std::size_t dim = 12;
@@ -766,6 +826,16 @@ TEST(Allocation, WarmedDetectorScoringAllocatesNothing) {
                          scores.data());
   const std::uint64_t after = g_heap_allocs.load();
   EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(real_shape_scoring_allocs(), 0u);
+}
+
+TEST(Allocation, WarmedScoringOnWorkerThreadAllocatesNothing) {
+  // A shard worker warms its own per-thread matmul scratch; once warmed,
+  // scoring on that thread must not allocate either.
+  std::uint64_t allocs = ~0ull;
+  std::thread worker([&] { allocs = real_shape_scoring_allocs(); });
+  worker.join();
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace
