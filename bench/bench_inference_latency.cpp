@@ -176,6 +176,20 @@ void BM_DetectorTraining(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectorTraining)->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
 
+void BM_LstmTraining(benchmark::State& state) {
+  // The same cost for the LSTM detector: BPTT over the same dataset.
+  auto dataset = detect::WindowDataset::from_trace(synthetic_benign(50),
+                                                   trained().encoder, 5);
+  for (auto _ : state) {
+    detect::DetectorConfig config;
+    config.epochs = static_cast<int>(state.range(0));
+    detect::LstmDetector detector(5, trained().encoder.dim(), config);
+    detector.fit(dataset);
+    benchmark::DoNotOptimize(detector.threshold());
+  }
+}
+BENCHMARK(BM_LstmTraining)->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

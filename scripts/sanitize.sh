@@ -23,33 +23,33 @@
 #     the chaos + transport suites over the kernel-socket backend
 #     (XSEC_E2_TRANSPORT=uds), so the batched writev/recv paths are
 #     race-checked too.
+#
+# Builds and every ctest selection and sweep run with min(nproc, 4) jobs: a
+# serial run of the default TSan selection and its sweeps takes hours (each
+# heavy chaos/lifecycle test takes minutes under TSan), and an unbounded
+# `-j` build can exhaust memory on a shared host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+jobs=$(nproc 2>/dev/null || echo 1)
+if (( jobs > 4 )); then jobs=4; fi
+
+preset=sanitize
 if [[ "${1:-}" == "tsan" ]]; then
+  preset=tsan
   shift
-  cmake --preset tsan
-  cmake --build --preset tsan -j
-  if [[ $# -gt 0 ]]; then
-    exec ctest --preset tsan "$@"
-  fi
-  ctest --preset tsan -R 'EventQueueLanes|ShardHash|SpscRing|TaggedSlot|ShardExecutor|InferenceReplica|EngineDeterminism|CrossSiteDilution|EngineQuarantine|Chaos|Mitigation|ControlReliability|AgentSpill|Lifecycle|FrameCodec|TransportChannel|TransportBackpressure|TransportPump|TransportShortWrite'
-  for shards in 2 4; do
-    echo "=== chaos suite with XSEC_RIC_SHARDS=$shards under TSan ==="
-    XSEC_RIC_SHARDS=$shards ctest --preset tsan -R 'Chaos|LifecycleE2e'
-  done
-  echo "=== chaos suite with XSEC_E2_TRANSPORT=uds under TSan ==="
-  XSEC_E2_TRANSPORT=uds ctest --preset tsan \
-    -R 'Chaos|TransportBackpressure|TransportPump|TransportShortWrite'
-  exit 0
+fi
+cmake --preset "$preset"
+cmake --build --preset "$preset" -j "$jobs"
+if [[ $# -gt 0 || "$preset" == "sanitize" ]]; then
+  exec ctest --preset "$preset" -j "$jobs" "$@"
 fi
 
-if [[ $# -eq 0 ]]; then
-  exec cmake --workflow --preset sanitize
-fi
-
-# Extra ctest args requested: run the steps individually so the args can be
-# appended to the test step.
-cmake --preset sanitize
-cmake --build --preset sanitize -j
-ctest --preset sanitize "$@"
+ctest --preset tsan -j "$jobs" -R 'EventQueueLanes|ShardHash|SpscRing|TaggedSlot|ShardExecutor|InferenceReplica|EngineDeterminism|CrossSiteDilution|EngineQuarantine|Chaos|Mitigation|ControlReliability|AgentSpill|Lifecycle|FrameCodec|TransportChannel|TransportBackpressure|TransportPump|TransportShortWrite'
+for shards in 2 4; do
+  echo "=== chaos suite with XSEC_RIC_SHARDS=$shards under TSan ==="
+  XSEC_RIC_SHARDS=$shards ctest --preset tsan -j "$jobs" -R 'Chaos|LifecycleE2e'
+done
+echo "=== chaos suite with XSEC_E2_TRANSPORT=uds under TSan ==="
+XSEC_E2_TRANSPORT=uds ctest --preset tsan -j "$jobs" \
+  -R 'Chaos|TransportBackpressure|TransportPump|TransportShortWrite'

@@ -133,7 +133,7 @@ double AttackClassifier::fit(const std::vector<std::vector<float>>& patterns,
     }
     loss /= static_cast<double>(x.rows());
     dl::scale_inplace(grad, 1.0f / static_cast<float>(x.rows()));
-    network_.backward(grad);
+    network_.backward_params(grad);
     optimizer.step();
   }
   return loss;

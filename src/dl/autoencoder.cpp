@@ -56,7 +56,7 @@ double Autoencoder::fit(const Matrix& data, const TrainConfig& train) {
       loss /= static_cast<double>(diff.size());
       Matrix grad = diff;
       scale_inplace(grad, 2.0f / static_cast<float>(diff.size()));
-      network_.backward(grad);
+      network_.backward_params(grad);
       optimizer.step();
 
       epoch_loss += loss;

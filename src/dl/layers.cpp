@@ -23,12 +23,16 @@ void Linear::infer_into(const Matrix& x, Matrix& out) {
 }
 
 Matrix Linear::backward(const Matrix& grad_out) {
-  // dW += x^T * g ; db += sum_rows(g) ; dx = g * W^T
+  backward_params(grad_out);
+  return matmul_bt(grad_out, weight_);  // dx = g * W^T
+}
+
+void Linear::backward_params(const Matrix& grad_out) {
+  // dW += x^T * g ; db += sum_rows(g)
   Matrix dw = matmul_at(cached_input_, grad_out);
-  add_scaled_inplace(grad_weight_, dw, 1.0f);
+  add_inplace(grad_weight_, dw);
   Matrix db = sum_rows(grad_out);
-  add_scaled_inplace(grad_bias_, db, 1.0f);
-  return matmul_bt(grad_out, weight_);
+  add_inplace(grad_bias_, db);
 }
 
 std::vector<Param> Linear::params() {
@@ -154,6 +158,14 @@ Matrix Sequential::backward(const Matrix& grad_out) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
     grad = (*it)->backward(grad);
   return grad;
+}
+
+void Sequential::backward_params(const Matrix& grad_out) {
+  if (layers_.empty()) return;
+  Matrix grad = grad_out;
+  for (std::size_t i = layers_.size(); i-- > 1;)
+    grad = layers_[i]->backward(grad);
+  layers_.front()->backward_params(grad);
 }
 
 std::vector<Param> Sequential::params() {

@@ -30,6 +30,10 @@ class Layer {
   virtual ~Layer() = default;
   virtual Matrix forward(const Matrix& x) = 0;
   virtual Matrix backward(const Matrix& grad_out) = 0;
+  /// backward() for a layer whose input gradient nobody reads (the first
+  /// layer of a network being trained): accumulates the parameter
+  /// gradients only. The default runs backward() and drops its result.
+  virtual void backward_params(const Matrix& grad_out) { backward(grad_out); }
   /// Inference-only forward into `out` (no caching; bit-identical to
   /// forward()). `out` must not alias `x`. The default falls back to the
   /// allocating forward for layers without a fused path.
@@ -44,6 +48,7 @@ class Linear : public Layer {
 
   Matrix forward(const Matrix& x) override;
   Matrix backward(const Matrix& grad_out) override;
+  void backward_params(const Matrix& grad_out) override;
   void infer_into(const Matrix& x, Matrix& out) override;
   std::vector<Param> params() override;
   void zero_grad() override;
@@ -100,6 +105,9 @@ class Sequential : public Layer {
   }
   Matrix forward(const Matrix& x) override;
   Matrix backward(const Matrix& grad_out) override;
+  /// Training's backward pass: skips the first layer's input gradient,
+  /// which a fit discards.
+  void backward_params(const Matrix& grad_out) override;
   /// Inference pass through the container's own ping-pong buffers; the
   /// returned reference stays valid until the next infer()/infer_into().
   /// Zero heap allocations once the buffers are warmed at the largest

@@ -286,11 +286,12 @@ void LstmPredictor::backward_steps(
 
     // z = x Wx + h_prev Wh + b. The input x is read from the caller's
     // step vector (the cache stores no copy of it).
-    add_scaled_inplace(grad_wx_, matmul_at(steps[t], dz), 1.0f);
-    add_scaled_inplace(grad_wh_, matmul_at(s.h_prev, dz), 1.0f);
-    add_scaled_inplace(grad_b_, sum_rows(dz), 1.0f);
+    add_inplace(grad_wx_, matmul_at(steps[t], dz));
+    add_inplace(grad_wh_, matmul_at(s.h_prev, dz));
+    add_inplace(grad_b_, sum_rows(dz));
 
-    dh = matmul_bt(dz, wh_);
+    // At t = 0 h_prev is the fixed zero state: nothing reads its gradient.
+    if (t > 0) dh = matmul_bt(dz, wh_);
     dc = std::move(dc_prev);
   }
 }
@@ -298,26 +299,6 @@ void LstmPredictor::backward_steps(
 Matrix LstmPredictor::project(const Matrix& h) const {
   Matrix pre = add_row_vector(matmul(h, wo_), bo_);
   return config_.sigmoid_output ? sigmoid_mat(pre) : pre;
-}
-
-Matrix LstmPredictor::output_forward(const Matrix& h) {
-  cached_h_ = h;
-  Matrix pre = add_row_vector(matmul(h, wo_), bo_);
-  cached_y_ = config_.sigmoid_output ? sigmoid_mat(pre) : pre;
-  return cached_y_;
-}
-
-Matrix LstmPredictor::output_backward(const Matrix& grad_y) {
-  Matrix grad_pre = grad_y;
-  if (config_.sigmoid_output) {
-    for (std::size_t i = 0; i < grad_pre.size(); ++i) {
-      float y = cached_y_.data()[i];
-      grad_pre.data()[i] *= y * (1.0f - y);
-    }
-  }
-  add_scaled_inplace(grad_wo_, matmul_at(cached_h_, grad_pre), 1.0f);
-  add_scaled_inplace(grad_bo_, sum_rows(grad_pre), 1.0f);
-  return matmul_bt(grad_pre, wo_);
 }
 
 double LstmPredictor::fit(const std::vector<SequenceSample>& samples,
@@ -381,8 +362,8 @@ double LstmPredictor::fit(const std::vector<SequenceSample>& samples,
             g.data()[i] *= yv * (1.0f - yv);
           }
         }
-        add_scaled_inplace(grad_wo_, matmul_at(hs[t], g), 1.0f);
-        add_scaled_inplace(grad_bo_, sum_rows(g), 1.0f);
+        add_inplace(grad_wo_, matmul_at(hs[t], g));
+        add_inplace(grad_bo_, sum_rows(g));
         grad_h[t] = matmul_bt(g, wo_);
       }
       backward_steps(steps, caches, grad_h);

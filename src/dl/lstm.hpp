@@ -134,8 +134,6 @@ class LstmPredictor {
   void backward_steps(const std::vector<Matrix>& steps,
                       const std::vector<StepCache>& caches,
                       const std::vector<Matrix>& grad_h_per_step);
-  Matrix output_forward(const Matrix& h);  // caches for backward
-  Matrix output_backward(const Matrix& grad_y);
   /// Output head without caching (evaluation paths).
   Matrix project(const Matrix& h) const;
 
@@ -147,7 +145,6 @@ class LstmPredictor {
   // Output projection H -> D with sigmoid.
   Matrix wo_, bo_;
   Matrix grad_wo_, grad_bo_;
-  Matrix cached_h_, cached_y_;  // output-layer caches
 };
 
 }  // namespace xsec::dl

@@ -2,7 +2,82 @@
 
 #include <cmath>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace xsec::dl {
+
+namespace {
+
+// One Adam update of n elements of a parameter. The scalar loop is the
+// reference; the AVX2 build runs the same per-element operations in the
+// same order on eight lanes. Lane-wise mul/add/sub/div/sqrt round exactly
+// like the scalar ops, and avx2 without fma leaves no mul+add pair to
+// contract, so both builds write the same bits. (The scalar loop's
+// std::sqrt keeps an errno branch that stops GCC vectorizing it.)
+struct AdamStep {
+  float beta1, one_minus_beta1, beta2, one_minus_beta2, bc1, bc2, lr, eps;
+};
+
+void adam_scalar(const AdamStep& k, const float* g, float* m, float* v,
+                 float* w, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    float gj = g[j];
+    m[j] = k.beta1 * m[j] + k.one_minus_beta1 * gj;
+    v[j] = k.beta2 * v[j] + k.one_minus_beta2 * gj * gj;
+    float mhat = m[j] / k.bc1;
+    float vhat = v[j] / k.bc2;
+    w[j] -= k.lr * mhat / (std::sqrt(vhat) + k.eps);
+  }
+}
+
+using AdamFn = void (*)(const AdamStep&, const float*, float*, float*, float*,
+                        std::size_t);
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2"))) void adam_avx2(const AdamStep& k,
+                                               const float* g, float* m,
+                                               float* v, float* w,
+                                               std::size_t n) {
+  const __m256 beta1 = _mm256_set1_ps(k.beta1);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(k.one_minus_beta1);
+  const __m256 beta2 = _mm256_set1_ps(k.beta2);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(k.one_minus_beta2);
+  const __m256 bc1 = _mm256_set1_ps(k.bc1);
+  const __m256 bc2 = _mm256_set1_ps(k.bc2);
+  const __m256 lr = _mm256_set1_ps(k.lr);
+  const __m256 eps = _mm256_set1_ps(k.eps);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 gj = _mm256_loadu_ps(g + j);
+    const __m256 mj =
+        _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + j)),
+                      _mm256_mul_ps(one_minus_beta1, gj));
+    const __m256 vj = _mm256_add_ps(
+        _mm256_mul_ps(beta2, _mm256_loadu_ps(v + j)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, gj), gj));
+    _mm256_storeu_ps(m + j, mj);
+    _mm256_storeu_ps(v + j, vj);
+    const __m256 mhat = _mm256_div_ps(mj, bc1);
+    const __m256 vhat = _mm256_div_ps(vj, bc2);
+    const __m256 delta = _mm256_div_ps(
+        _mm256_mul_ps(lr, mhat), _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(w + j, _mm256_sub_ps(_mm256_loadu_ps(w + j), delta));
+  }
+  adam_scalar(k, g + j, m + j, v + j, w + j, n - j);
+}
+
+AdamFn pick_adam() {
+  return __builtin_cpu_supports("avx2") ? adam_avx2 : adam_scalar;
+}
+#else
+AdamFn pick_adam() { return adam_scalar; }
+#endif
+
+const AdamFn g_adam = pick_adam();
+
+}  // namespace
 
 Sgd::Sgd(std::vector<Param> params, float lr, float momentum)
     : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
@@ -40,21 +115,18 @@ Adam::Adam(std::vector<Param> params, float lr, float beta1, float beta2,
 
 void Adam::step() {
   ++t_;
-  float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const AdamStep k{beta1_,
+                   1.0f - beta1_,
+                   beta2_,
+                   1.0f - beta2_,
+                   1.0f - std::pow(beta1_, static_cast<float>(t_)),
+                   1.0f - std::pow(beta2_, static_cast<float>(t_)),
+                   lr_,
+                   eps_};
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    const Matrix& g = *params_[i].grad;
     Matrix& w = *params_[i].value;
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      float gj = g.data()[j];
-      m.data()[j] = beta1_ * m.data()[j] + (1.0f - beta1_) * gj;
-      v.data()[j] = beta2_ * v.data()[j] + (1.0f - beta2_) * gj * gj;
-      float mhat = m.data()[j] / bc1;
-      float vhat = v.data()[j] / bc2;
-      w.data()[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    g_adam(k, params_[i].grad->data().data(), m_[i].data().data(),
+           v_[i].data().data(), w.data().data(), w.size());
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace xsec::dl {
 
@@ -20,16 +21,42 @@ void Matrix::fill(float value) {
   for (float& v : data_) v = value;
 }
 
+void Matrix::zero() {
+  // +0.0f is the all-zero bit pattern.
+  if (!data_.empty()) std::memset(data_.data(), 0, size() * sizeof(float));
+}
+
 void Matrix::xavier_init(Rng& rng, std::size_t fan_in, std::size_t fan_out) {
   float s = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
   for (float& v : data_)
     v = static_cast<float>(rng.uniform(-s, s));
 }
 
+namespace {
+
+// Writes m's transpose (cols × rows) to t. It walks 16 × 16 tiles so the
+// strided writes of a tile hit a few cache lines, not one per column.
+void transpose_to(const Matrix& m, float* t) {
+  constexpr std::size_t kTile = 16;
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::size_t r1 = std::min(r0 + kTile, rows);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, cols);
+      for (std::size_t r = r0; r < r1; ++r) {
+        const float* row = m.row(r);
+        for (std::size_t c = c0; c < c1; ++c) t[c * rows + r] = row[c];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out.at(c, r) = at(r, c);
+  transpose_to(*this, out.data().data());
   return out;
 }
 
@@ -161,6 +188,31 @@ MatmulKernelFn pick_kernel() { return kernel_base; }
 
 const MatmulKernelFn g_kernel = pick_kernel();
 
+// Runs the kernel on row-major operands: out (rows×cols) = a (rows×inner) *
+// b (inner×cols). The nonzero scratch for one row block is per thread and
+// only grows (to kRowBlock × the widest inner dimension seen), so a warmed
+// thread never allocates here again.
+void run_kernel(const float* a, std::size_t rows, std::size_t inner,
+                const float* b, std::size_t cols, float* out) {
+  assert(inner * cols <= UINT32_MAX);  // b row offsets are 32-bit
+  thread_local std::vector<float> values;
+  thread_local std::vector<std::uint32_t> offsets;
+  if (values.size() < kRowBlock * inner) {
+    values.resize(kRowBlock * inner);
+    offsets.resize(kRowBlock * inner);
+  }
+  g_kernel(a, rows, inner, b, cols, out, values.data(), offsets.data());
+}
+
+// m's transpose, written into a per-thread scratch that only grows. Valid
+// until the thread's next call.
+const float* transpose_scratch(const Matrix& m) {
+  thread_local std::vector<float> t;
+  if (t.size() < m.size()) t.resize(m.size());
+  transpose_to(m, t.data());
+  return t.data();
+}
+
 }  // namespace
 
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -173,51 +225,28 @@ void matmul_prefix_into(const Matrix& a, std::size_t a_rows, const Matrix& b,
   assert(a.cols() == b.rows());
   assert(&out != &a && &out != &b);
   out.resize(a_rows, b.cols());
-  assert(b.size() <= UINT32_MAX);  // b row offsets are 32-bit
-  // Per-thread nonzero scratch for one row block. It only grows (to
-  // kRowBlock × the widest inner dimension seen), so a warmed thread never
-  // allocates here again.
-  thread_local std::vector<float> values;
-  thread_local std::vector<std::uint32_t> offsets;
-  if (values.size() < kRowBlock * a.cols()) {
-    values.resize(kRowBlock * a.cols());
-    offsets.resize(kRowBlock * a.cols());
-  }
-  g_kernel(a.data().data(), a_rows, a.cols(), b.data().data(), b.cols(),
-           out.data().data(), values.data(), offsets.data());
+  run_kernel(a.data().data(), a_rows, a.cols(), b.data().data(), b.cols(),
+             out.data().data());
 }
 
+// The training products run the same kernel on a transposed operand. Each
+// output still sums its products in ascending k from +0, and the skipped
+// zeros only drop ±0 terms for finite operands, so both equal their
+// textbook loops bit for bit (naive_matmul_at/naive_matmul_bt in the tests).
 void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.cols());
   assert(&out != &a && &out != &b);
   out.resize(a.rows(), b.rows());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const float* arow = a.row(r);
-    float* orow = out.row(r);
-    for (std::size_t c = 0; c < b.rows(); ++c) {
-      const float* brow = b.row(c);
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
-      orow[c] = acc;
-    }
-  }
+  run_kernel(a.data().data(), a.rows(), a.cols(), transpose_scratch(b),
+             b.rows(), out.data().data());
 }
 
 void matmul_at_into(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.rows() == b.rows());
   assert(&out != &a && &out != &b);
   out.resize(a.cols(), b.cols());
-  out.fill(0.0f);
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const float* arow = a.row(k);
-    const float* brow = b.row(k);
-    for (std::size_t r = 0; r < a.cols(); ++r) {
-      float av = arow[r];
-      if (av == 0.0f) continue;
-      float* orow = out.row(r);
-      for (std::size_t c = 0; c < b.cols(); ++c) orow[c] += av * brow[c];
-    }
-  }
+  run_kernel(transpose_scratch(a), a.cols(), a.rows(), b.data().data(),
+             b.cols(), out.data().data());
 }
 
 void add_into(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -264,7 +293,16 @@ void sum_rows_into(const Matrix& a, Matrix& out) {
 
 void add_inplace(Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] += b.data()[i];
+  // Eight lanes at a time (GCC's -O2 vectorizer leaves loops of unknown
+  // length scalar); each lane's + rounds exactly like the scalar +.
+  float* av = a.data().data();
+  const float* bv = b.data().data();
+  const std::size_t n = a.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    *reinterpret_cast<Float8*>(av + i) +=
+        *reinterpret_cast<const Float8*>(bv + i);
+  for (; i < n; ++i) av[i] += bv[i];
 }
 
 void add_row_vector_inplace(Matrix& a, const Matrix& row) {
@@ -326,11 +364,6 @@ Matrix sum_rows(const Matrix& a) {
 
 void scale_inplace(Matrix& a, float k) {
   for (float& v : a.data()) v *= k;
-}
-
-void add_scaled_inplace(Matrix& a, const Matrix& b, float k) {
-  assert(a.same_shape(b));
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] += k * b.data()[i];
 }
 
 }  // namespace xsec::dl

@@ -12,10 +12,11 @@
 //   - The allocating functions (matmul, add, ...) are thin wrappers over
 //     the `_into` kernels, kept for the training/backprop code where a
 //     fresh temporary per op is fine.
-// Every kernel accumulates each output element over k in ascending order,
-// so the zero-skipping register-blocked matmul, its AVX2 build, and the
-// wrappers all produce results bit-identical to the textbook loop for
-// finite inputs.
+// Every matmul — forward, inference and the training products a^T * b and
+// a * b^T — runs one zero-skipping register-blocked kernel that accumulates
+// each output element over k in ascending order, so it, its AVX2 build,
+// and the wrappers all produce results bit-identical to the textbook loops
+// for finite inputs.
 #pragma once
 
 #include <cassert>
@@ -54,7 +55,7 @@ class Matrix {
   const std::vector<float>& data() const { return data_; }
 
   void fill(float value);
-  void zero() { fill(0.0f); }
+  void zero();
 
   /// Reshapes in place. Contents are unspecified afterwards (kernels
   /// overwrite their output). The backing vector keeps its capacity, so a
@@ -94,9 +95,11 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// multiply a prefix of a taller workspace matrix without copying it.
 void matmul_prefix_into(const Matrix& a, std::size_t a_rows, const Matrix& b,
                         Matrix& out);
-/// out = a (r×k) * b^T (c×k).
+/// out = a (r×k) * b^T (c×k): the kernel on a and b's transpose. The
+/// transpose goes into a per-thread scratch that only grows, like the
+/// kernel's nonzero lists.
 void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out);
-/// out = a^T (k×r) * b (k×c).
+/// out = a^T (k×r) * b (k×c): the kernel on a's transpose (same scratch).
 void matmul_at_into(const Matrix& a, const Matrix& b, Matrix& out);
 
 void add_into(const Matrix& a, const Matrix& b, Matrix& out);
@@ -127,6 +130,5 @@ Matrix add_row_vector(const Matrix& a, const Matrix& row);
 /// Column-wise sum producing a 1×c matrix (bias gradients).
 Matrix sum_rows(const Matrix& a);
 void scale_inplace(Matrix& a, float k);
-void add_scaled_inplace(Matrix& a, const Matrix& b, float k);
 
 }  // namespace xsec::dl

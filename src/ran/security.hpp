@@ -11,7 +11,9 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -84,10 +86,18 @@ bool verify_mac(IntegrityAlg alg, const Key& key, std::uint32_t count,
 /// by the operator's priority list. A compromised/misconfigured network that
 /// prefers null algorithms models the downgrade attack.
 struct AlgorithmPolicy {
-  std::vector<CipherAlg> cipher_priority{CipherAlg::kNea2, CipherAlg::kNea1,
-                                         CipherAlg::kNea0};
-  std::vector<IntegrityAlg> integrity_priority{
-      IntegrityAlg::kNia2, IntegrityAlg::kNia1};
+  // The defaults are copied from static arrays: GCC 12 reports the backing
+  // array of a braced std::vector initializer here as maybe-uninitialized
+  // (-Wmaybe-uninitialized) wherever the constructor is inlined.
+  static constexpr CipherAlg kDefaultCiphers[] = {
+      CipherAlg::kNea2, CipherAlg::kNea1, CipherAlg::kNea0};
+  static constexpr IntegrityAlg kDefaultIntegrity[] = {IntegrityAlg::kNia2,
+                                                       IntegrityAlg::kNia1};
+
+  std::vector<CipherAlg> cipher_priority{std::begin(kDefaultCiphers),
+                                         std::end(kDefaultCiphers)};
+  std::vector<IntegrityAlg> integrity_priority{std::begin(kDefaultIntegrity),
+                                               std::end(kDefaultIntegrity)};
 
   CipherAlg select_cipher(const SecurityCapabilities& caps) const;
   IntegrityAlg select_integrity(const SecurityCapabilities& caps) const;

@@ -11,6 +11,7 @@
 #include <new>
 #include <thread>
 
+#include "common/bytes.hpp"
 #include "detect/ensemble.hpp"
 #include "detect/scorer.hpp"
 #include "dl/autoencoder.hpp"
@@ -53,6 +54,19 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xsec::dl {
 namespace {
+
+/// Same shape and the same float bit patterns (so a -0/+0 flip fails).
+::testing::AssertionResult same_bits(const Matrix& want, const Matrix& got) {
+  if (!want.same_shape(got))
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << ", want "
+           << want.rows() << "x" << want.cols();
+  if (want.size() != 0 &&
+      std::memcmp(want.data().data(), got.data().data(),
+                  want.size() * sizeof(float)) != 0)
+    return ::testing::AssertionFailure() << "float bits differ";
+  return ::testing::AssertionSuccess();
+}
 
 // --- Matrix ----------------------------------------------------------
 
@@ -186,6 +200,37 @@ TEST(Gradients, SequentialStack) {
   check_layer_gradients(net, x);
 }
 
+TEST(Gradients, BackwardParamsAccumulatesBackwardsParamGradients) {
+  // Training skips the first layer's input gradient; every parameter
+  // gradient must still come out bit-identical to a full backward pass.
+  auto build = [] {
+    Rng rng(7);
+    Sequential net;
+    net.add(std::make_unique<Linear>(5, 6, rng));
+    net.add(std::make_unique<Relu>());
+    net.add(std::make_unique<Linear>(6, 3, rng));
+    return net;
+  };
+  Rng rng(8);
+  Matrix x(4, 5);
+  x.xavier_init(rng, 4, 5);
+  Matrix grad_out(4, 3);
+  grad_out.xavier_init(rng, 4, 3);
+  Sequential full = build();
+  Sequential skip = build();
+  full.forward(x);
+  skip.forward(x);
+  full.zero_grad();
+  skip.zero_grad();
+  full.backward(grad_out);
+  skip.backward_params(grad_out);
+  const std::vector<Param> want = full.params();
+  const std::vector<Param> got = skip.params();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_TRUE(same_bits(*want[i].grad, *got[i].grad)) << "param " << i;
+}
+
 // --- Optimizers ---------------------------------------------------------
 
 TEST(Optim, SgdAndAdamMinimizeQuadratic) {
@@ -205,6 +250,37 @@ TEST(Optim, SgdAndAdamMinimizeQuadratic) {
       opt->step();
     }
     for (float v : w.data()) EXPECT_NEAR(v, 3.0f, 0.05f);
+  }
+}
+
+TEST(Optim, AdamStepBitIdenticalToTextbookLoop) {
+  // Adam updates eight lanes at a time where the host allows; every
+  // element must match the textbook scalar update bit for bit, tails
+  // included.
+  const float lr = 3e-3f, beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+  Rng rng(12);
+  for (std::size_t n : {1u, 7u, 8u, 9u, 63u, 415u}) {
+    Matrix w(1, n), g(1, n);
+    for (float& v : w.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    Matrix ref_w = w;
+    std::vector<float> m(n, 0.0f), v(n, 0.0f);
+    Adam adam({{&w, &g}}, lr, beta1, beta2, eps);
+    for (int t = 1; t <= 5; ++t) {
+      for (float& x : g.data())
+        x = rng.chance(0.2) ? 0.0f : static_cast<float>(rng.uniform(-4, 4));
+      adam.step();
+      const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+      const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+      for (std::size_t j = 0; j < n; ++j) {
+        float gj = g.data()[j];
+        m[j] = beta1 * m[j] + (1.0f - beta1) * gj;
+        v[j] = beta2 * v[j] + (1.0f - beta2) * gj * gj;
+        float mhat = m[j] / bc1;
+        float vhat = v[j] / bc2;
+        ref_w.data()[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      ASSERT_TRUE(same_bits(ref_w, w)) << n << " elements, step " << t;
+    }
   }
 }
 
@@ -454,17 +530,38 @@ Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-/// Same shape and the same float bit patterns (so a -0/+0 flip fails).
-::testing::AssertionResult same_bits(const Matrix& want, const Matrix& got) {
-  if (!want.same_shape(got))
-    return ::testing::AssertionFailure()
-           << "shape " << got.rows() << "x" << got.cols() << ", want "
-           << want.rows() << "x" << want.cols();
-  if (want.size() != 0 &&
-      std::memcmp(want.data().data(), got.data().data(),
-                  want.size() * sizeof(float)) != 0)
-    return ::testing::AssertionFailure() << "float bits differ";
-  return ::testing::AssertionSuccess();
+/// The training products as textbook loops: out = a^T * b, skipping zero
+/// a-elements and accumulating each output over k in ascending order from
+/// +0, and out = a * b^T as a plain dot product that multiplies the zeros.
+/// The kernel-backed matmul_at/matmul_bt must match both bit for bit.
+Matrix naive_matmul_at(const Matrix& a, const Matrix& b) {
+  Matrix out(a.cols(), b.cols());
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const float* arow = a.row(k);
+    const float* brow = b.row(k);
+    for (std::size_t r = 0; r < a.cols(); ++r) {
+      float av = arow[r];
+      if (av == 0.0f) continue;
+      float* orow = out.row(r);
+      for (std::size_t c = 0; c < b.cols(); ++c) orow[c] += av * brow[c];
+    }
+  }
+  return out;
+}
+
+Matrix naive_matmul_bt(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.rows());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const float* arow = a.row(r);
+    float* orow = out.row(r);
+    for (std::size_t c = 0; c < b.rows(); ++c) {
+      const float* brow = b.row(c);
+      float acc = 0.0f;
+      for (std::size_t k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
+      orow[c] = acc;
+    }
+  }
+  return out;
 }
 
 TEST(FusedKernels, MatmulVariantsBitIdenticalAcrossShapesAndDensities) {
@@ -515,7 +612,57 @@ TEST(FusedKernels, MatmulVariantsBitIdenticalAcrossShapesAndDensities) {
         matmul_into(a, b, into_out);
         ASSERT_TRUE(same_bits(ref, into_out));
         ASSERT_TRUE(same_bits(ref, matmul(a, b)));
+
+        // The training products on the same operands: a^T * b with a's
+        // transpose as the left operand, and a * b^T with b's transpose.
+        const Matrix at = a.transposed();
+        const Matrix bt = b.transposed();
+        ASSERT_TRUE(same_bits(naive_matmul_at(at, b), matmul_at(at, b)));
+        matmul_at_into(at, b, into_out);
+        ASSERT_TRUE(same_bits(naive_matmul_at(at, b), into_out));
+        ASSERT_TRUE(same_bits(naive_matmul_bt(a, bt), matmul_bt(a, bt)));
+        matmul_bt_into(a, bt, into_out);
+        ASSERT_TRUE(same_bits(naive_matmul_bt(a, bt), into_out));
       }
+
+  // The live training shapes: every (in, out) pair a backward pass
+  // multiplies, at the full batch of 32 and at batch tails. Linear layers
+  // of the autoencoder (415/128/32 wide, 83-feature windows of 5) compute
+  // dW = x^T * g and dx = g * W^T; the LSTM (hidden 64, four gates = 256,
+  // 83 features) computes dWx = x^T * dz, dWh = h^T * dz, dh = dz * Wh^T
+  // and its output head's dWo = h^T * g, dh = g * Wo^T.
+  const std::size_t kPairs[][2] = {{415, 128}, {128, 32}, {32, 128},
+                                   {128, 415}, {83, 256}, {64, 256},
+                                   {64, 83}};
+  const std::size_t kBatches[] = {32, 17, 6, 1};
+  for (const auto& pair : kPairs)
+    for (std::size_t batch : kBatches) {
+      const std::size_t in = pair[0];
+      const std::size_t out = pair[1];
+      // x: batch × in (forward input, ~half zeros like standardized
+      // one-hot rows and ReLU outputs), g: batch × out (upstream
+      // gradient), w: in × out (weights). Zero rows and ±0 in every
+      // operand.
+      Matrix x(batch, in), g(batch, out), w(in, out);
+      auto fill = [&rng](Matrix& m, double zero_share) {
+        for (float& v : m.data()) {
+          if (rng.chance(zero_share))
+            v = rng.chance(0.5) ? -0.0f : 0.0f;
+          else
+            v = static_cast<float>(rng.uniform(-2, 2));
+        }
+        for (std::size_t r = 0; r < m.rows(); r += 7)
+          for (std::size_t c = 0; c < m.cols(); ++c)
+            m.at(r, c) = rng.chance(0.5) ? -0.0f : 0.0f;
+      };
+      fill(x, 0.5);
+      fill(g, 0.1);
+      fill(w, 0.05);
+      SCOPED_TRACE(::testing::Message() << "batch " << batch << ", " << in
+                                        << " -> " << out);
+      ASSERT_TRUE(same_bits(naive_matmul_at(x, g), matmul_at(x, g)));
+      ASSERT_TRUE(same_bits(naive_matmul_bt(g, w), matmul_bt(g, w)));
+    }
 }
 
 TEST(FusedKernels, IntoAndInplaceElementwiseMatchAllocatingOps) {
@@ -762,6 +909,67 @@ TEST(FusedKernels, LstmFusedPathMatchesGateByGateReference) {
       ASSERT_EQ(ref_max[r], fused_max[r]) << "row " << r;
       ASSERT_EQ(ref_final[r], fused_final[r]) << "row " << r;
     }
+  }
+}
+
+// --- Training golden ---------------------------------------------------
+//
+// Retraining is bit-reproducible, and the training kernels are pinned to
+// the textbook loops' float bits, so a fixed-seed fit lands on the same
+// weights, scaler and threshold on every build. The constants are the
+// fnv1a64 of save_state() after the fits below, captured from the scalar
+// textbook training loops; a change to any training bit fails here, not
+// only in the Table 2 regeneration. (The activations' vendored tanhf/expf
+// match glibc's libm bit for bit, so the constants assume a glibc host.)
+
+/// `n` consecutive 0/1 feature rows of width `dim`, one-hot-like: each row
+/// sets a few of the first dim - 3 columns and never the last three, so
+/// the standardized inputs keep exact-zero columns as live features do.
+std::vector<float> golden_rows(std::size_t n, std::size_t dim) {
+  Rng rng(0x60D);
+  std::vector<float> rows(n * dim, 0.0f);
+  for (std::size_t r = 0; r < n; ++r) {
+    rows[r * dim + r % 3] = 1.0f;
+    for (std::size_t c = 3; c + 3 < dim; ++c)
+      if (rng.chance(0.3)) rows[r * dim + c] = 1.0f;
+  }
+  return rows;
+}
+
+TEST(TrainingGolden, FixedSeedFitsHashToPinnedStates) {
+  const std::size_t window = 5;
+  const std::size_t dim = 12;
+  // 70 training windows: two full batches of 32 and a tail of 6.
+  const std::size_t n = 70;
+  detect::DetectorConfig config;
+  config.seed = 99;
+  detect::FineTuneConfig tune;
+  tune.learning_rate = 3e-3f;
+
+  {
+    const std::size_t flat = window * dim;
+    std::vector<float> windows = golden_rows(n * window, dim);
+    detect::AutoencoderDetector ae(window, dim, config, {16, 8});
+    Matrix raw(n, flat);
+    std::memcpy(raw.row(0), windows.data(), windows.size() * sizeof(float));
+    ae.fit_scaler(raw);
+    ASSERT_TRUE(ae.fine_tune(windows.data(), n, window, tune));
+    EXPECT_EQ(fnv1a(ae.save_state()), 0xcd2faa19002a448aull);
+  }
+  {
+    const std::size_t rows_per = window + 1;
+    std::vector<float> windows = golden_rows(n * rows_per, dim);
+    std::vector<SequenceSample> raw(n);
+    for (std::size_t w = 0; w < n; ++w) {
+      const float* base = windows.data() + w * rows_per * dim;
+      for (std::size_t t = 0; t < window; ++t)
+        raw[w].window.emplace_back(base + t * dim, base + (t + 1) * dim);
+      raw[w].target.assign(base + window * dim, base + rows_per * dim);
+    }
+    detect::LstmDetector lstm(window, dim, config, 8);
+    lstm.fit_scaler(raw);
+    ASSERT_TRUE(lstm.fine_tune(windows.data(), n, rows_per, tune));
+    EXPECT_EQ(fnv1a(lstm.save_state()), 0x24a17dc76933273eull);
   }
 }
 
