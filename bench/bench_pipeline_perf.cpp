@@ -4,8 +4,6 @@
 // inside it.
 #include <benchmark/benchmark.h>
 
-#include "core/pipeline.hpp"
-#include "sim/traffic.hpp"
 #include "detect/features.hpp"
 #include "mobiflow/record.hpp"
 #include "obs/export.hpp"
@@ -145,14 +143,12 @@ BENCHMARK(BM_FeatureEncodeBatch)->Arg(16)->Arg(256);
 // --- Observability overhead -------------------------------------------------
 //
 // The registry's hot path is a bound-pointer increment / observe, so its
-// cost sits orders of magnitude under the µs-scale codec stages above. The
-// <2% overhead claim is the ratio of two measurements here:
+// cost sits orders of magnitude under the µs-scale codec stages above.
 //   BM_IndicationInstrumented - BM_IndicationEncodeDecode/64
 //     = the full per-indication instrumentation cost (all spans + counters
-//       the pipeline records for one indication), typically ~1 µs;
-//   BM_PipelineEndToEnd
-//     = the end-to-end cost per indication of the whole pipeline
-//       (encode, transport, RIC, SDL, MobiWatch), typically ≥ 100 µs.
+//       the pipeline records for one indication), typically ~1 µs.
+// The <2% overhead claim divides it by the steady-state end-to-end cost
+// per indication that perfbench's traced run reports (docs/OBSERVABILITY.md).
 
 void BM_ObsCounterInc(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -258,32 +254,6 @@ void BM_IndicationInstrumented(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_IndicationInstrumented);
-
-void BM_PipelineEndToEnd(benchmark::State& state) {
-  // The whole Figure 3 assembly on fixed-seed benign traffic with a live
-  // autoencoder scoring windows; items are indications carried end to
-  // end. This is the denominator of the observability overhead ratio.
-  detect::FeatureEncoder encoder;
-  detect::MobiWatchConfig mobiwatch;
-  auto detector = std::make_shared<detect::AutoencoderDetector>(
-      mobiwatch.window_size, encoder.dim());
-  std::size_t indications = 0;
-  for (auto _ : state) {
-    core::Pipeline pipeline;
-    pipeline.install_detector(detector, detect::FeatureEncoder());
-    sim::TrafficConfig traffic;
-    traffic.num_sessions = 8;
-    traffic.arrival_mean = SimDuration::from_ms(60);
-    traffic.seed = 7;
-    sim::BenignTrafficGenerator generator(&pipeline.testbed(), traffic);
-    generator.schedule_all();
-    pipeline.run_for(SimDuration::from_s(1));
-    pipeline.finalize();
-    indications += pipeline.stats().indications_received;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(indications));
-}
-BENCHMARK(BM_PipelineEndToEnd);
 
 void BM_SuciConcealDeconceal(benchmark::State& state) {
   ran::Supi supi{ran::Plmn::test_network(), 2089900001ULL};

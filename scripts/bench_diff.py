@@ -4,7 +4,10 @@
 Typical use: scripts/bench_smoke.sh writes results/<bench>.json for each
 google-benchmark binary; the repo commits a results/<bench>.baseline.json
 captured on the reference machine. A change is flagged when a benchmark's
-cpu_time grows more than --threshold (default 20%) over the baseline:
+cpu_time grows more than --threshold (default 20%) over the baseline.
+Reports with repetitions are compared on their median aggregate (else the
+mean aggregate, else the plain row), and each row prints both sides' cv
+aggregate beside the ratio, so a flag can be read against the noise:
 
     scripts/bench_diff.py results/bench_inference_latency.baseline.json \
                           results/bench_inference_latency.json
@@ -22,24 +25,39 @@ import json
 import sys
 
 
+# Row preference per benchmark: the median aggregate of a repetitions
+# report, else its mean aggregate, else the first plain row.
+RANK = {"median": 0, "mean": 1, None: 2}
+
+
 def load_benchmarks(path):
+    """Returns {run_name: (row, cv)}; cv is the row's cv aggregate or None."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_diff: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    out = {}
+    rows, cvs = {}, {}
     for b in doc.get("benchmarks", []):
-        # Aggregate reports (repetitions) carry mean/median/stddev rows;
-        # prefer the mean aggregate when present, else the plain row.
         name = b.get("run_name", b.get("name"))
-        if b.get("run_type") == "aggregate" and b.get("aggregate_name") != "mean":
+        kind = b.get("aggregate_name") if b.get("run_type") == "aggregate" else None
+        if kind == "cv":
+            cvs[name] = b
             continue
-        if name in out and b.get("run_type") != "aggregate":
+        if kind not in RANK:
             continue
-        out[name] = b
-    return out
+        if name not in rows or RANK[kind] < RANK[rows[name][0]]:
+            rows[name] = (kind, b)
+    return {name: (b, cvs.get(name)) for name, (_, b) in rows.items()}
+
+
+def fmt_cv(cv_row, metric):
+    # google-benchmark stores the coefficient of variation as a plain
+    # ratio in the time fields.
+    if cv_row is None or cv_row.get(metric) is None:
+        return "n/a"
+    return f"{cv_row[metric]:.1%}"
 
 
 def fmt_time(ns, unit):
@@ -71,15 +89,17 @@ def main():
     regressions = []
     improvements = []
     for name in sorted(base.keys() & cur.keys()):
-        b, c = base[name], cur[name]
+        (b, b_cv), (c, c_cv) = base[name], cur[name]
         bt, ct = b.get(args.metric), c.get(args.metric)
         if not bt or not ct:
             continue
         ratio = ct / bt
         line = (
             f"{name}: {fmt_time(bt, b.get('time_unit', 'ns'))} -> "
-            f"{fmt_time(ct, c.get('time_unit', 'ns'))}  ({ratio - 1.0:+.1%})"
+            f"{fmt_time(ct, c.get('time_unit', 'ns'))}  ({ratio - 1.0:+.1%}"
+            f", cv {fmt_cv(b_cv, args.metric)} -> {fmt_cv(c_cv, args.metric)})"
         )
+        print(line)
         if ratio > 1.0 + args.threshold:
             regressions.append(line)
         elif ratio < 1.0 - args.threshold:

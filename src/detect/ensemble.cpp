@@ -76,28 +76,6 @@ void EnsembleDetector::slice_into(const dl::Matrix& standardized,
             standardized.at(r, t * feature_dim_ + columns[c]);
 }
 
-std::vector<double> EnsembleDetector::member_scores(
-    std::size_t member, const dl::Matrix& standardized) {
-  dl::Matrix data = slice(standardized, member);
-  dl::Matrix recon = members_[member].model->reconstruct(data);
-  const std::size_t sub_dim = groups_[member].columns.size();
-  std::vector<double> scores(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    double worst = 0.0;
-    for (std::size_t t = 0; t < window_size_; ++t) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < sub_dim; ++c) {
-        std::size_t col = t * sub_dim + c;
-        double d = static_cast<double>(recon.at(r, col)) - data.at(r, col);
-        acc += d * d;
-      }
-      worst = std::max(worst, acc / static_cast<double>(sub_dim));
-    }
-    scores[r] = worst;
-  }
-  return scores;
-}
-
 void EnsembleDetector::fit(const WindowDataset& benign) {
   assert(benign.window_size() == window_size_);
   assert(benign.feature_dim() == feature_dim_);
@@ -110,38 +88,38 @@ void EnsembleDetector::fit(const WindowDataset& benign) {
   train.epochs = config_.detector.epochs;
   train.batch_size = config_.detector.batch_size;
   train.learning_rate = config_.detector.learning_rate;
-  for (std::size_t m = 0; m < members_.size(); ++m) {
+  for (std::size_t m = 0; m < members_.size(); ++m)
     members_[m].model->fit(slice(standardized, m), train);
-    std::vector<double> scores = member_scores(m, standardized);
-    members_[m].calibration =
-        std::max(1e-9, percentile(scores, config_.member_percentile));
+
+  // Each member calibrates on its own benign scores, staged chunk by chunk.
+  std::vector<std::vector<double>> scores(
+      members_.size(), std::vector<double>(raw.rows()));
+  for (std::size_t start = 0; start < raw.rows(); start += kScoreChunk) {
+    const std::size_t n = std::min(kScoreChunk, raw.rows() - start);
+    stage(raw.row(start), raw.cols(), n);
+    for (std::size_t m = 0; m < members_.size(); ++m)
+      member_errors(m, n, scores[m].data() + start);
   }
-  calibrate(combined_scores(raw, nullptr),
-            config_.detector.threshold_percentile);
+  for (std::size_t m = 0; m < members_.size(); ++m)
+    members_[m].calibration =
+        std::max(1e-9, percentile(scores[m], config_.member_percentile));
+  calibrate(combined_scores(raw), config_.detector.threshold_percentile);
 }
 
 std::vector<double> EnsembleDetector::combined_scores(
-    const dl::Matrix& raw_windows, std::vector<std::size_t>* dominant) {
-  dl::Matrix standardized = raw_windows;
-  if (scaler_.fitted()) scaler_.apply(standardized);
-  std::vector<double> combined(raw_windows.rows(), 0.0);
-  if (dominant) dominant->assign(raw_windows.rows(), 0);
-  for (std::size_t m = 0; m < members_.size(); ++m) {
-    std::vector<double> scores = member_scores(m, standardized);
-    for (std::size_t r = 0; r < scores.size(); ++r) {
-      double normalized = scores[r] / members_[m].calibration;
-      if (normalized > combined[r]) {
-        combined[r] = normalized;
-        if (dominant) (*dominant)[r] = m;
-      }
-    }
+    const dl::Matrix& raw_windows) {
+  std::vector<double> combined(raw_windows.rows());
+  for (std::size_t start = 0; start < combined.size(); start += kScoreChunk) {
+    const std::size_t n = std::min(kScoreChunk, combined.size() - start);
+    score_rows(raw_windows.row(start), raw_windows.cols(), n,
+               combined.data() + start);
   }
   return combined;
 }
 
 std::vector<double> EnsembleDetector::score(const WindowDataset& data) {
   dl::Matrix raw = data.ae_matrix();
-  return combined_scores(raw, nullptr);
+  return combined_scores(raw);
 }
 
 double EnsembleDetector::score_window(const float* rows, std::size_t n_rows) {
@@ -157,41 +135,60 @@ void EnsembleDetector::score_windows(const float* rows, std::size_t row_dim,
   assert(rows_per_window == window_size_);
   (void)row_dim;
   (void)rows_per_window;
+  // Matches what sequential score_window() calls over the batch would
+  // leave behind: the attribution of the most recent window.
+  last_dominant_ = score_rows(rows, feature_dim_, n_windows, scores);
+}
+
+void EnsembleDetector::stage(const float* first, std::size_t stride,
+                             std::size_t n) {
   const std::size_t flat = window_size_ * feature_dim_;
-  infer_full_.resize(n_windows, flat);
-  for (std::size_t w = 0; w < n_windows; ++w)
-    std::memcpy(infer_full_.row(w), rows + w * feature_dim_,
+  infer_full_.resize(n, flat);
+  for (std::size_t w = 0; w < n; ++w)
+    std::memcpy(infer_full_.row(w), first + w * stride,
                 flat * sizeof(float));
   if (scaler_.fitted()) scaler_.apply(infer_full_);
+}
 
-  for (std::size_t w = 0; w < n_windows; ++w) scores[w] = 0.0;
-  infer_dominant_.assign(n_windows, 0);
-  for (std::size_t m = 0; m < members_.size(); ++m) {
-    slice_into(infer_full_, m, infer_slice_);
-    const dl::Matrix& recon = members_[m].model->infer(infer_slice_);
-    const std::size_t sub_dim = groups_[m].columns.size();
-    for (std::size_t r = 0; r < n_windows; ++r) {
-      double worst = 0.0;
-      for (std::size_t t = 0; t < window_size_; ++t) {
-        double acc = 0.0;
-        for (std::size_t c = 0; c < sub_dim; ++c) {
-          std::size_t col = t * sub_dim + c;
-          double d =
-              static_cast<double>(recon.at(r, col)) - infer_slice_.at(r, col);
-          acc += d * d;
-        }
-        worst = std::max(worst, acc / static_cast<double>(sub_dim));
+void EnsembleDetector::member_errors(std::size_t member, std::size_t n,
+                                     double* errors) {
+  slice_into(infer_full_, member, infer_slice_);
+  const dl::Matrix& recon = members_[member].model->infer(infer_slice_);
+  const std::size_t sub_dim = groups_[member].columns.size();
+  for (std::size_t r = 0; r < n; ++r) {
+    double worst = 0.0;
+    for (std::size_t t = 0; t < window_size_; ++t) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < sub_dim; ++c) {
+        std::size_t col = t * sub_dim + c;
+        double d =
+            static_cast<double>(recon.at(r, col)) - infer_slice_.at(r, col);
+        acc += d * d;
       }
-      double normalized = worst / members_[m].calibration;
+      worst = std::max(worst, acc / static_cast<double>(sub_dim));
+    }
+    errors[r] = worst;
+  }
+}
+
+std::size_t EnsembleDetector::score_rows(const float* first,
+                                         std::size_t stride, std::size_t n,
+                                         double* scores) {
+  stage(first, stride, n);
+  std::size_t last_dominant = 0;
+  for (std::size_t w = 0; w < n; ++w) scores[w] = 0.0;
+  infer_member_.resize(n);
+  for (std::size_t m = 0; m < members_.size(); ++m) {
+    member_errors(m, n, infer_member_.data());
+    for (std::size_t r = 0; r < n; ++r) {
+      double normalized = infer_member_[r] / members_[m].calibration;
       if (normalized > scores[r]) {
         scores[r] = normalized;
-        infer_dominant_[r] = m;
+        if (r + 1 == n) last_dominant = m;
       }
     }
   }
-  // Matches what sequential score_window() calls over the batch would
-  // leave behind: the attribution of the most recent window.
-  last_dominant_ = infer_dominant_[n_windows - 1];
+  return last_dominant;
 }
 
 std::unique_ptr<AnomalyDetector> EnsembleDetector::clone_for_inference() {

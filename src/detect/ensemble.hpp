@@ -76,11 +76,20 @@ class EnsembleDetector : public AnomalyDetector {
   dl::Matrix slice(const dl::Matrix& standardized, std::size_t member) const;
   void slice_into(const dl::Matrix& standardized, std::size_t member,
                   dl::Matrix& out) const;
-  /// Per-row worst per-record reconstruction error for one member.
-  std::vector<double> member_scores(std::size_t member,
-                                    const dl::Matrix& standardized);
-  std::vector<double> combined_scores(const dl::Matrix& raw_windows,
-                                      std::vector<std::size_t>* dominant);
+  /// Scores a raw window matrix kScoreChunk rows per pass.
+  std::vector<double> combined_scores(const dl::Matrix& raw_windows);
+
+  /// The one scoring core, in three steps. stage() copies `n` raw windows,
+  /// window w's flattened rows starting at first + w * stride, into
+  /// infer_full_ and standardizes them. member_errors() writes one
+  /// member's per-row worst per-record reconstruction error over the
+  /// staged batch. score_rows() stages, then writes each window's worst
+  /// calibration-normalized member error to scores[w] and returns the
+  /// member that dominated the last window.
+  void stage(const float* first, std::size_t stride, std::size_t n);
+  void member_errors(std::size_t member, std::size_t n, double* errors);
+  std::size_t score_rows(const float* first, std::size_t stride,
+                         std::size_t n, double* scores);
 
   std::size_t window_size_;
   std::size_t feature_dim_;
@@ -90,11 +99,11 @@ class EnsembleDetector : public AnomalyDetector {
   std::vector<Member> members_;
   std::size_t last_dominant_ = 0;
   /// Inference workspace (warmed once, then allocation-free): the
-  /// standardized full-window batch, the per-member slice, and the
-  /// per-window dominant-member tracker.
+  /// standardized full-window batch, the per-member slice, and one
+  /// member's per-window errors.
   dl::Matrix infer_full_;
   dl::Matrix infer_slice_;
-  std::vector<std::size_t> infer_dominant_;
+  std::vector<double> infer_member_;
 };
 
 }  // namespace xsec::detect

@@ -1,5 +1,6 @@
 #include "detect/scorer.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -190,30 +191,11 @@ void AutoencoderDetector::fit(const WindowDataset& benign) {
 
 std::vector<double> AutoencoderDetector::window_scores(
     const dl::Matrix& raw_windows) {
-  dl::Matrix data = standardize(raw_windows);
-  dl::Matrix recon = model_.reconstruct(data);
-  std::vector<double> scores(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    if (config_.ae_score == DetectorConfig::AeScore::kMean) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < data.cols(); ++c) {
-        double d = static_cast<double>(recon.at(r, c)) - data.at(r, c);
-        acc += d * d;
-      }
-      scores[r] = acc / static_cast<double>(data.cols());
-      continue;
-    }
-    double worst = 0.0;
-    for (std::size_t t = 0; t < window_size_; ++t) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < feature_dim_; ++c) {
-        std::size_t col = t * feature_dim_ + c;
-        double d = static_cast<double>(recon.at(r, col)) - data.at(r, col);
-        acc += d * d;
-      }
-      worst = std::max(worst, acc / static_cast<double>(feature_dim_));
-    }
-    scores[r] = worst;
+  std::vector<double> scores(raw_windows.rows());
+  for (std::size_t start = 0; start < scores.size(); start += kScoreChunk) {
+    const std::size_t n = std::min(kScoreChunk, scores.size() - start);
+    score_rows(raw_windows.row(start), raw_windows.cols(), n,
+               scores.data() + start);
   }
   return scores;
 }
@@ -239,16 +221,22 @@ void AutoencoderDetector::score_windows(const float* rows,
   assert(rows_per_window == window_size_);
   (void)row_dim;
   (void)rows_per_window;
+  // Sliding windows over contiguous rows: window w starts one record after
+  // window w - 1.
+  score_rows(rows, feature_dim_, n_windows, scores);
+}
+
+void AutoencoderDetector::score_rows(const float* first, std::size_t stride,
+                                     std::size_t n, double* scores) {
   const std::size_t flat = window_size_ * feature_dim_;
-  infer_input_.resize(n_windows, flat);
-  // Sliding windows over contiguous rows: each window's rows are already
-  // contiguous, so flattening is one copy per window.
-  for (std::size_t w = 0; w < n_windows; ++w)
-    std::memcpy(infer_input_.row(w), rows + w * feature_dim_,
+  infer_input_.resize(n, flat);
+  // Each window's rows are contiguous, so flattening is one copy per window.
+  for (std::size_t w = 0; w < n; ++w)
+    std::memcpy(infer_input_.row(w), first + w * stride,
                 flat * sizeof(float));
   if (scaler_.fitted()) scaler_.apply(infer_input_);
   const dl::Matrix& recon = model_.infer(infer_input_);
-  for (std::size_t r = 0; r < n_windows; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     if (config_.ae_score == DetectorConfig::AeScore::kMean) {
       double acc = 0.0;
       for (std::size_t c = 0; c < flat; ++c) {

@@ -156,6 +156,13 @@ struct DetectorConfig {
   LstmScore lstm_score = LstmScore::kMaxStep;
 };
 
+/// Windows per staged pass when an autoencoder-family detector scores a
+/// whole corpus (threshold calibration, Table 2): the corpus goes through
+/// the inference workspace one chunk at a time, so its size bounds no
+/// buffer. Scores are bit-identical to one pass, because rows are
+/// independent.
+constexpr std::size_t kScoreChunk = 64;
+
 class AutoencoderDetector : public AnomalyDetector {
  public:
   AutoencoderDetector(std::size_t window_size, std::size_t feature_dim,
@@ -186,8 +193,8 @@ class AutoencoderDetector : public AnomalyDetector {
   /// for the cross-validation harness which trains on row subsets).
   void fit_scaler(const dl::Matrix& raw_windows) { scaler_.fit(raw_windows); }
   /// Scores rows of an already-flattened RAW window matrix (shared by
-  /// fit, score, and the ablation bench). Standardization is applied
-  /// internally.
+  /// fit, score, and the ablation bench), kScoreChunk rows per pass.
+  /// Standardization is applied internally.
   std::vector<double> window_scores(const dl::Matrix& raw_windows);
   /// Standardizes a raw window matrix (for callers training via model()).
   dl::Matrix standardize(const dl::Matrix& raw_windows) const;
@@ -196,13 +203,20 @@ class AutoencoderDetector : public AnomalyDetector {
   friend Result<std::unique_ptr<AnomalyDetector>> restore_detector(
       const Bytes& state);
 
+  /// The one scoring core: stages `n` raw windows, window w's flattened
+  /// rows starting at first + w * stride, into infer_input_, standardizes
+  /// them, reconstructs through the inference path and writes each
+  /// window's score to scores[w].
+  void score_rows(const float* first, std::size_t stride, std::size_t n,
+                  double* scores);
+
   std::size_t window_size_;
   std::size_t feature_dim_;
   DetectorConfig config_;
   dl::Autoencoder model_;
   Standardizer scaler_;
-  /// Batch-assembly buffer for the inference path; grows to the largest
-  /// batch seen and then never reallocates.
+  /// Staging buffer of score_rows(); grows to the largest batch seen
+  /// (a live batch or one kScoreChunk) and then never reallocates.
   dl::Matrix infer_input_;
 };
 

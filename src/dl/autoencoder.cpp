@@ -68,18 +68,8 @@ double Autoencoder::fit(const Matrix& data, const TrainConfig& train) {
   return mean_loss;
 }
 
-Matrix Autoencoder::reconstruct(const Matrix& data) {
-  return network_.forward(data);
-}
-
 std::vector<double> Autoencoder::reconstruction_errors(const Matrix& data) {
   std::vector<double> errors(data.rows());
-  reconstruction_errors_into(data, errors.data());
-  return errors;
-}
-
-void Autoencoder::reconstruction_errors_into(const Matrix& data,
-                                             double* errors) {
   const Matrix& output = network_.infer(data);
   for (std::size_t r = 0; r < data.rows(); ++r) {
     double acc = 0.0;
@@ -89,12 +79,7 @@ void Autoencoder::reconstruction_errors_into(const Matrix& data,
     }
     errors[r] = acc / static_cast<double>(data.cols());
   }
-}
-
-double Autoencoder::reconstruction_error(const std::vector<float>& sample) {
-  Matrix m(1, sample.size());
-  for (std::size_t c = 0; c < sample.size(); ++c) m.at(0, c) = sample[c];
-  return reconstruction_errors(m)[0];
+  return errors;
 }
 
 }  // namespace xsec::dl

@@ -43,18 +43,14 @@ class Autoencoder {
   /// Trains on benign data (rows = samples). Returns final mean loss.
   double fit(const Matrix& data, const TrainConfig& train);
 
-  /// Per-row mean squared reconstruction error.
+  /// Per-row mean squared reconstruction error, via infer().
   std::vector<double> reconstruction_errors(const Matrix& data);
-  double reconstruction_error(const std::vector<float>& sample);
-  Matrix reconstruct(const Matrix& data);
 
   /// Inference-only reconstruction through the network's preallocated
   /// ping-pong buffers: no gradient caches, no heap allocation once
-  /// warmed, bit-identical to reconstruct(). The reference stays valid
-  /// until the next infer()/reconstruct().
+  /// warmed, bit-identical to the training-mode forward pass. The
+  /// reference stays valid until the next infer().
   const Matrix& infer(const Matrix& data) { return network_.infer(data); }
-  /// Per-row MSE via the inference path, written to errors[0..rows).
-  void reconstruction_errors_into(const Matrix& data, double* errors);
 
   const AutoencoderConfig& config() const { return config_; }
   std::vector<Param> params() { return network_.params(); }

@@ -401,15 +401,14 @@ TEST(Detectors, ScoreWindowMatchesBatchScore) {
   detector.fit(benign);
   auto batch = detector.score(benign);
   // Score window 0 straight off the contiguous feature matrix rows.
-  EXPECT_NEAR(detector.score_window(benign.features().row(0), 5), batch[0],
-              1e-6);
+  EXPECT_EQ(detector.score_window(benign.features().row(0), 5), batch[0]);
   // The allocating convenience overload agrees.
   std::vector<std::vector<float>> rows;
   for (std::size_t i = 0; i < 5; ++i) {
     const float* p = benign.features().row(i);
     rows.emplace_back(p, p + encoder.dim());
   }
-  EXPECT_NEAR(detector.score_window(rows), batch[0], 1e-6);
+  EXPECT_EQ(detector.score_window(rows), batch[0]);
 }
 
 TEST(Detectors, LstmRowsNeededIncludesTarget) {

@@ -4,6 +4,7 @@
 // zero-allocation guarantee of the warmed inference paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -25,9 +26,21 @@
 // --- Heap-allocation hook ---------------------------------------------
 //
 // Counts every operator-new in this binary so the allocation tests can
-// assert that a warmed inference path performs zero heap allocations.
+// assert that a warmed inference path performs zero heap allocations, and
+// tracks the largest single request so a corpus-scoring test can bound
+// its working set.
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::size_t> g_largest_alloc{0};
+
+void note_alloc(std::size_t size) {
+  ++g_heap_allocs;
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !g_largest_alloc.compare_exchange_weak(seen, size,
+                                                std::memory_order_relaxed)) {
+  }
+}
 }  // namespace
 
 // GCC pairs our malloc-backed operator new with the default delete at
@@ -36,12 +49,12 @@ std::atomic<std::uint64_t> g_heap_allocs{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 void* operator new(std::size_t size) {
-  ++g_heap_allocs;
+  note_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
-  ++g_heap_allocs;
+  note_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -1035,6 +1048,29 @@ TEST(Allocation, WarmedDetectorScoringAllocatesNothing) {
   const std::uint64_t after = g_heap_allocs.load();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(real_shape_scoring_allocs(), 0u);
+}
+
+TEST(Allocation, CorpusScoringAllocatesBoundedBlocks) {
+  // Calibration and Table 2 scoring stage the corpus kScoreChunk windows
+  // at a time through the inference workspace, so no block grows with the
+  // corpus: the largest request is one chunk's staging matrix (as large
+  // as the reconstruction) or the output vector itself.
+  const std::size_t window = 5;
+  const std::size_t dim = 83;
+  const std::size_t flat = window * dim;
+  const std::size_t n = 8 * detect::kScoreChunk + 11;
+  detect::AutoencoderDetector ae(window, dim, {}, {128, 32});
+  Rng rng(77);
+  Matrix raw(n, flat);
+  for (float& v : raw.data()) v = rng.chance(0.1) ? 1.0f : 0.0f;
+
+  g_largest_alloc.store(0);
+  std::vector<double> scores = ae.window_scores(raw);
+  const std::size_t largest = g_largest_alloc.load();
+  ASSERT_EQ(scores.size(), n);
+  const std::size_t bound = std::max(
+      detect::kScoreChunk * flat * sizeof(float), n * sizeof(double));
+  EXPECT_LE(largest, bound);
 }
 
 TEST(Allocation, WarmedScoringOnWorkerThreadAllocatesNothing) {

@@ -589,19 +589,23 @@ INSTANTIATE_TEST_SUITE_P(WindowSizes, WindowProperty,
 // The batched inference entry point (score_windows) must be bit-identical
 // to scoring every window one at a time (score_window) AND to the dataset
 // scoring path that produces the Table 2 reproduction — the MobiWatch
-// batching optimization is not allowed to move any detector metric.
+// batching optimization is not allowed to move any detector metric. The
+// dataset path stages the corpus kScoreChunk windows at a time, so the
+// traces cover one short chunk and, at 2 * kScoreChunk + 37 + window
+// records, two full chunks plus a ragged tail for both the AE family and
+// the LSTM.
 
-mobiflow::Trace batched_scoring_trace() {
+mobiflow::Trace batched_scoring_trace(std::size_t records) {
   Rng rng(47);
   mobiflow::Trace trace;
-  for (int i = 0; i < 60; ++i) {
+  for (std::size_t i = 0; i < records; ++i) {
     mobiflow::Record r;
     r.protocol = mobiflow::vocab::Protocol::kRrc;
     r.msg = rng.chance(0.5) ? mobiflow::vocab::MsgType::kMeasurementReport
                             : mobiflow::vocab::MsgType::kRrcReconfiguration;
     r.direction = mobiflow::vocab::Direction::kUl;
     r.rnti = 1;
-    r.timestamp_us = i * 1000;
+    r.timestamp_us = static_cast<std::int64_t>(i) * 1000;
     trace.add(r, false);
   }
   return trace;
@@ -609,55 +613,61 @@ mobiflow::Trace batched_scoring_trace() {
 
 TEST(BatchedScoringProperty, BatchedBitIdenticalToSingleAndDatasetScoring) {
   const std::size_t window = 5;
-  detect::FeatureEncoder encoder;
-  auto trace = batched_scoring_trace();
-  auto dataset = detect::WindowDataset::from_trace(trace, encoder, window);
-  const dl::Matrix& feats = dataset.features();
+  for (std::size_t records :
+       {std::size_t{60}, 2 * detect::kScoreChunk + 37 + window}) {
+    SCOPED_TRACE(records);
+    detect::FeatureEncoder encoder;
+    auto trace = batched_scoring_trace(records);
+    auto dataset = detect::WindowDataset::from_trace(trace, encoder, window);
+    const dl::Matrix& feats = dataset.features();
 
-  detect::DetectorConfig config;
-  config.epochs = 3;
+    detect::DetectorConfig config;
+    config.epochs = 3;
 
-  detect::AutoencoderDetector ae(window, encoder.dim(), config, {32, 8});
-  ae.fit(dataset);
-  const std::size_t ae_windows = feats.rows() - window + 1;
-  std::vector<double> batched(ae_windows);
-  ae.score_windows(feats.row(0), encoder.dim(), window, ae_windows,
-                   batched.data());
-  std::vector<double> table2 = ae.score(dataset);
-  ASSERT_EQ(table2.size(), ae_windows);
-  for (std::size_t w = 0; w < ae_windows; ++w) {
-    EXPECT_EQ(batched[w], ae.score_window(feats.row(w), window)) << w;
-    EXPECT_EQ(batched[w], table2[w]) << w;
-  }
+    detect::AutoencoderDetector ae(window, encoder.dim(), config, {32, 8});
+    ae.fit(dataset);
+    const std::size_t ae_windows = feats.rows() - window + 1;
+    std::vector<double> batched(ae_windows);
+    ae.score_windows(feats.row(0), encoder.dim(), window, ae_windows,
+                     batched.data());
+    std::vector<double> table2 = ae.score(dataset);
+    ASSERT_EQ(table2.size(), ae_windows);
+    for (std::size_t w = 0; w < ae_windows; ++w) {
+      EXPECT_EQ(batched[w], ae.score_window(feats.row(w), window)) << w;
+      EXPECT_EQ(batched[w], table2[w]) << w;
+    }
 
-  detect::LstmDetector lstm(window, encoder.dim(), config, 16);
-  lstm.fit(dataset);
-  const std::size_t lstm_windows = feats.rows() - window;
-  std::vector<double> lstm_batched(lstm_windows);
-  lstm.score_windows(feats.row(0), encoder.dim(), window + 1, lstm_windows,
-                     lstm_batched.data());
-  std::vector<double> lstm_table2 = lstm.score(dataset);
-  ASSERT_EQ(lstm_table2.size(), lstm_windows);
-  for (std::size_t w = 0; w < lstm_windows; ++w) {
-    EXPECT_EQ(lstm_batched[w], lstm.score_window(feats.row(w), window + 1))
-        << w;
-    EXPECT_EQ(lstm_batched[w], lstm_table2[w]) << w;
-  }
+    detect::LstmDetector lstm(window, encoder.dim(), config, 16);
+    lstm.fit(dataset);
+    const std::size_t lstm_windows = feats.rows() - window;
+    std::vector<double> lstm_batched(lstm_windows);
+    lstm.score_windows(feats.row(0), encoder.dim(), window + 1, lstm_windows,
+                       lstm_batched.data());
+    std::vector<double> lstm_table2 = lstm.score(dataset);
+    ASSERT_EQ(lstm_table2.size(), lstm_windows);
+    for (std::size_t w = 0; w < lstm_windows; ++w) {
+      EXPECT_EQ(lstm_batched[w],
+                lstm.score_window(feats.row(w), window + 1))
+          << w;
+      EXPECT_EQ(lstm_batched[w], lstm_table2[w]) << w;
+    }
 
-  detect::EnsembleConfig ensemble_config;
-  ensemble_config.detector = config;
-  detect::EnsembleDetector ensemble(window, encoder.dim(),
-                                    detect::groups_by_category(encoder),
-                                    ensemble_config);
-  ensemble.fit(dataset);
-  std::vector<double> ens_batched(ae_windows);
-  ensemble.score_windows(feats.row(0), encoder.dim(), window, ae_windows,
-                         ens_batched.data());
-  std::vector<double> ens_table2 = ensemble.score(dataset);
-  for (std::size_t w = 0; w < ae_windows; ++w) {
-    EXPECT_EQ(ens_batched[w], ensemble.score_window(feats.row(w), window))
-        << w;
-    EXPECT_EQ(ens_batched[w], ens_table2[w]) << w;
+    detect::EnsembleConfig ensemble_config;
+    ensemble_config.detector = config;
+    detect::EnsembleDetector ensemble(window, encoder.dim(),
+                                      detect::groups_by_category(encoder),
+                                      ensemble_config);
+    ensemble.fit(dataset);
+    std::vector<double> ens_batched(ae_windows);
+    ensemble.score_windows(feats.row(0), encoder.dim(), window, ae_windows,
+                           ens_batched.data());
+    std::vector<double> ens_table2 = ensemble.score(dataset);
+    ASSERT_EQ(ens_table2.size(), ae_windows);
+    for (std::size_t w = 0; w < ae_windows; ++w) {
+      EXPECT_EQ(ens_batched[w], ensemble.score_window(feats.row(w), window))
+          << w;
+      EXPECT_EQ(ens_batched[w], ens_table2[w]) << w;
+    }
   }
 }
 
