@@ -84,6 +84,16 @@ void BM_RecordToKvAndBack(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordToKvAndBack);
 
+/// Decodes an indication as the RIC's ingest does: a zero-copy view, then
+/// the rows walked in place. Returns the row bytes seen.
+std::size_t decode_indication_rows(const Bytes& wire) {
+  auto decoded = oran::decode_indication_view(wire);
+  oran::e2sm::RowCursor rows(decoded.value().message);
+  std::size_t bytes = 0;
+  while (auto row = rows.next()) bytes += row->size();
+  return bytes;
+}
+
 void BM_IndicationEncodeDecode(benchmark::State& state) {
   // One E2 indication carrying a typical report batch.
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
@@ -94,10 +104,7 @@ void BM_IndicationEncodeDecode(benchmark::State& state) {
     oran::RicIndication indication;
     indication.message = encode_indication_message(message);
     Bytes wire = encode_e2ap(indication);
-    auto decoded = oran::decode_indication(wire);
-    auto rows_back =
-        oran::e2sm::decode_indication_message(decoded.value().message);
-    benchmark::DoNotOptimize(rows_back);
+    benchmark::DoNotOptimize(decode_indication_rows(wire));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows));
@@ -230,10 +237,7 @@ void BM_IndicationInstrumented(benchmark::State& state) {
     oran::RicIndication indication;
     indication.message = encode_indication_message(message);
     Bytes wire = encode_e2ap(indication);
-    auto decoded = oran::decode_indication(wire);
-    auto rows_back =
-        oran::e2sm::decode_indication_message(decoded.value().message);
-    benchmark::DoNotOptimize(rows_back);
+    benchmark::DoNotOptimize(decode_indication_rows(wire));
     ++trace;
     sent->inc();
     std::uint32_t encode_id =

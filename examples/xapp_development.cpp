@@ -39,12 +39,13 @@ class KpmCounterXapp : public oran::XApp {
     }
   }
 
-  void on_indication(std::uint64_t node_id,
-                     const oran::RicIndication& indication) override {
-    auto message = oran::e2sm::decode_indication_message(indication.message);
-    if (!message) return;
-    for (const auto& row : message.value().rows) {
-      auto record = mobiflow::Record::from_kv_bytes(row);
+  // The indication's blobs view the transport's frame and are valid only
+  // during this call; RowCursor walks the rows in place.
+  void on_indication_view(std::uint64_t node_id,
+                          const oran::RicIndicationView& indication) override {
+    oran::e2sm::RowCursor rows(indication.message);
+    while (auto row = rows.next()) {
+      auto record = mobiflow::Record::from_kv_bytes(*row);
       if (!record.ok()) continue;
       std::string proto(record.value().protocol_name());
       ++counters_[{node_id, proto}];

@@ -177,11 +177,6 @@ void MobiWatchXapp::note_gap(std::uint64_t node_id, const std::string& why) {
   engine_.quarantine_node(node_id);
 }
 
-void MobiWatchXapp::on_indication(std::uint64_t node_id,
-                                  const oran::RicIndication& indication) {
-  on_indication_view(node_id, oran::as_view(indication));
-}
-
 void MobiWatchXapp::on_indication_view(std::uint64_t node_id,
                                        const oran::RicIndicationView& view) {
   // Nests under the RIC's open ric.deliver span for this indication.

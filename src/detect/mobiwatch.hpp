@@ -84,11 +84,6 @@ class MobiWatchXapp : public oran::XApp {
                         FeatureEncoder encoder);
 
   void on_start() override;
-  /// Owned-indication entry (unit tests, reorder-buffer replays): wraps
-  /// the indication in a view and forwards to the zero-copy path so both
-  /// entries share one implementation.
-  void on_indication(std::uint64_t node_id,
-                     const oran::RicIndication& indication) override;
   /// Zero-copy ingest: rows are read straight out of the transport's
   /// frame via e2sm::RowCursor and stored in the SDL from the row span —
   /// byte-identical to the re-encoded form, with no per-row allocation

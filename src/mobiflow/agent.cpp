@@ -22,8 +22,8 @@ Bytes encode_control(const ControlCommand& cmd) {
   return w.take();
 }
 
-Result<ControlCommand> decode_control(const Bytes& wire) {
-  ByteReader r(wire);
+Result<ControlCommand> decode_control(std::span<const std::uint8_t> wire) {
+  ByteReader r(wire.data(), wire.size());
   auto action = r.u8();
   if (!action) return action.error();
   if (action.value() > ControlCommand::kMaxAction)
@@ -87,7 +87,7 @@ Bytes RicAgent::setup_request() {
   return encode_e2ap(setup);
 }
 
-void RicAgent::on_e2ap(const Bytes& wire) {
+void RicAgent::on_e2ap(std::span<const std::uint8_t> wire) {
   auto type = oran::e2ap_type(wire);
   if (!type) return;
   switch (type.value()) {

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -57,7 +58,7 @@ struct ControlCommand {
 };
 
 Bytes encode_control(const ControlCommand& cmd);
-Result<ControlCommand> decode_control(const Bytes& wire);
+Result<ControlCommand> decode_control(std::span<const std::uint8_t> wire);
 
 struct AgentHooks {
   std::function<SimTime()> now;
@@ -97,7 +98,7 @@ class RicAgent : public oran::E2NodeLink {
 
   // E2NodeLink:
   Bytes setup_request() override;
-  void on_e2ap(const Bytes& wire) override;
+  void on_e2ap(std::span<const std::uint8_t> wire) override;
   void on_link_state(bool up) override;
 
   std::uint64_t node_id() const { return node_id_; }

@@ -177,10 +177,6 @@ Bytes Record::to_kv_bytes() const {
   return w.take();
 }
 
-Result<Record> Record::from_kv_bytes(const Bytes& wire) {
-  return from_kv_bytes(std::span<const std::uint8_t>(wire.data(), wire.size()));
-}
-
 Result<Record> Record::from_kv_bytes(std::span<const std::uint8_t> wire) {
   ByteReader r(wire.data(), wire.size());
   auto rec = decode(r);

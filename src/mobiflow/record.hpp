@@ -72,8 +72,7 @@ struct Record {
 
   /// Compact standalone byte form (the SDL storage / indication-row format).
   Bytes to_kv_bytes() const;
-  static Result<Record> from_kv_bytes(const Bytes& wire);
-  /// Zero-copy variant: decodes straight out of a transport-owned span.
+  /// Decodes straight out of `wire` (a transport-owned span or a Bytes).
   static Result<Record> from_kv_bytes(std::span<const std::uint8_t> wire);
 
   /// Compact single-line rendering used in prompts and examples.

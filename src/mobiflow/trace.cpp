@@ -1,5 +1,6 @@
 #include "mobiflow/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 namespace xsec::mobiflow {
@@ -48,7 +49,9 @@ Result<Trace> Trace::deserialize(const Bytes& wire) {
   auto count = r.u32();
   if (!count) return count.error();
   Trace trace;
-  trace.entries_.reserve(count.value());
+  // The count is untrusted (spill files, incident reports): every entry
+  // takes at least one byte, so never reserve more than the bytes left.
+  trace.entries_.reserve(std::min<std::size_t>(count.value(), r.remaining()));
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto malicious = r.boolean();
     if (!malicious) return malicious.error();

@@ -19,8 +19,9 @@ void header(ByteWriter& w, E2apType type) {
   w.u8(static_cast<std::uint8_t>(type));
 }
 
-Result<ByteReader> open(const Bytes& wire, E2apType expected) {
-  ByteReader r(wire);
+Result<ByteReader> open(std::span<const std::uint8_t> wire,
+                        E2apType expected) {
+  ByteReader r(wire.data(), wire.size());
   auto version = r.u8();
   if (!version) return version.error();
   if (version.value() != kVersion)
@@ -67,10 +68,6 @@ Result<E2apType> e2ap_type(std::span<const std::uint8_t> wire) {
   return static_cast<E2apType>(type.value());
 }
 
-Result<E2apType> e2ap_type(const Bytes& wire) {
-  return e2ap_type(std::span<const std::uint8_t>(wire.data(), wire.size()));
-}
-
 Bytes encode_e2ap(const E2SetupRequest& m) {
   ByteWriter w;
   header(w, E2apType::kSetupRequest);
@@ -85,7 +82,8 @@ Bytes encode_e2ap(const E2SetupRequest& m) {
   return w.take();
 }
 
-Result<E2SetupRequest> decode_setup_request(const Bytes& wire) {
+Result<E2SetupRequest> decode_setup_request(
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kSetupRequest);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -122,7 +120,8 @@ Bytes encode_e2ap(const E2SetupResponse& m) {
   return w.take();
 }
 
-Result<E2SetupResponse> decode_setup_response(const Bytes& wire) {
+Result<E2SetupResponse> decode_setup_response(
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kSetupResponse);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -152,7 +151,8 @@ Bytes encode_e2ap(const RicSubscriptionRequest& m) {
   return w.take();
 }
 
-Result<RicSubscriptionRequest> decode_subscription_request(const Bytes& wire) {
+Result<RicSubscriptionRequest> decode_subscription_request(
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kSubscriptionRequest);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -199,7 +199,7 @@ Bytes encode_e2ap(const RicSubscriptionResponse& m) {
 }
 
 Result<RicSubscriptionResponse> decode_subscription_response(
-    const Bytes& wire) {
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kSubscriptionResponse);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -236,7 +236,7 @@ Bytes encode_e2ap(const RicSubscriptionDeleteRequest& m) {
 }
 
 Result<RicSubscriptionDeleteRequest> decode_subscription_delete(
-    const Bytes& wire) {
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kSubscriptionDeleteRequest);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -264,51 +264,11 @@ Bytes encode_e2ap(const RicIndication& m) {
   return w.take();
 }
 
-Result<RicIndication> decode_indication(const Bytes& wire) {
+Result<RicIndicationView> decode_indication_view(
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kIndication);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
-  RicIndication m;
-  auto id = decode_request_id(r);
-  if (!id) return id.error();
-  m.request_id = id.value();
-  auto fn = r.u16();
-  if (!fn) return fn.error();
-  m.ran_function_id = fn.value();
-  auto action = r.u16();
-  if (!action) return action.error();
-  m.action_id = action.value();
-  auto sn = r.u32();
-  if (!sn) return sn.error();
-  m.sequence_number = sn.value();
-  auto sent_at = r.i64();
-  if (!sent_at) return sent_at.error();
-  m.sent_at_us = sent_at.value();
-  auto type = r.u8();
-  if (!type) return type.error();
-  if (type.value() > 1)
-    return Error::make("malformed", "indication type out of range");
-  m.type = static_cast<RicIndicationType>(type.value());
-  auto hdr = decode_blob(r);
-  if (!hdr) return hdr.error();
-  m.header = hdr.value();
-  auto msg = decode_blob(r);
-  if (!msg) return msg.error();
-  m.message = msg.value();
-  return m;
-}
-
-Result<RicIndicationView> decode_indication_view(
-    std::span<const std::uint8_t> wire) {
-  ByteReader r(wire.data(), wire.size());
-  auto version = r.u8();
-  if (!version) return version.error();
-  if (version.value() != kVersion)
-    return Error::make("version", "unsupported E2AP version");
-  auto type_byte = r.u8();
-  if (!type_byte) return type_byte.error();
-  if (type_byte.value() != static_cast<std::uint8_t>(E2apType::kIndication))
-    return Error::make("type", "unexpected E2AP PDU type");
   RicIndicationView m;
   auto id = decode_request_id(r);
   if (!id) return id.error();
@@ -383,7 +343,8 @@ Bytes encode_e2ap(const RicIndicationNack& m) {
   return w.take();
 }
 
-Result<RicIndicationNack> decode_indication_nack(const Bytes& wire) {
+Result<RicIndicationNack> decode_indication_nack(
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kIndicationNack);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -423,7 +384,8 @@ Bytes encode_e2ap(const RicControlRequest& m) {
   return w.take();
 }
 
-Result<RicControlRequest> decode_control_request(const Bytes& wire) {
+Result<RicControlRequest> decode_control_request(
+    std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kControlRequest);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();
@@ -452,7 +414,7 @@ Bytes encode_e2ap(const RicControlAck& m) {
   return w.take();
 }
 
-Result<RicControlAck> decode_control_ack(const Bytes& wire) {
+Result<RicControlAck> decode_control_ack(std::span<const std::uint8_t> wire) {
   auto reader = open(wire, E2apType::kControlAck);
   if (!reader) return reader.error();
   ByteReader& r = reader.value();

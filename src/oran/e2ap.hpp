@@ -166,20 +166,27 @@ Bytes encode_e2ap(const RicControlAck& m);
 
 /// Peeks the PDU type of an encoded E2AP message.
 Result<E2apType> e2ap_type(std::span<const std::uint8_t> wire);
-Result<E2apType> e2ap_type(const Bytes& wire);
 
-Result<E2SetupRequest> decode_setup_request(const Bytes& wire);
-Result<E2SetupResponse> decode_setup_response(const Bytes& wire);
-Result<RicSubscriptionRequest> decode_subscription_request(const Bytes& wire);
-Result<RicSubscriptionResponse> decode_subscription_response(const Bytes& wire);
+// Decoders read the PDU in place. Every one but decode_indication_view
+// copies what it keeps, so its result outlives `wire`.
+Result<E2SetupRequest> decode_setup_request(
+    std::span<const std::uint8_t> wire);
+Result<E2SetupResponse> decode_setup_response(
+    std::span<const std::uint8_t> wire);
+Result<RicSubscriptionRequest> decode_subscription_request(
+    std::span<const std::uint8_t> wire);
+Result<RicSubscriptionResponse> decode_subscription_response(
+    std::span<const std::uint8_t> wire);
 Result<RicSubscriptionDeleteRequest> decode_subscription_delete(
-    const Bytes& wire);
-Result<RicIndication> decode_indication(const Bytes& wire);
-/// Zero-copy decode: no allocation; blob fields view into `wire`.
+    std::span<const std::uint8_t> wire);
+/// Zero-copy decode: no allocation; blob fields view into `wire`. Call
+/// materialize() on the result for an owned RicIndication.
 Result<RicIndicationView> decode_indication_view(
     std::span<const std::uint8_t> wire);
-Result<RicIndicationNack> decode_indication_nack(const Bytes& wire);
-Result<RicControlRequest> decode_control_request(const Bytes& wire);
-Result<RicControlAck> decode_control_ack(const Bytes& wire);
+Result<RicIndicationNack> decode_indication_nack(
+    std::span<const std::uint8_t> wire);
+Result<RicControlRequest> decode_control_request(
+    std::span<const std::uint8_t> wire);
+Result<RicControlAck> decode_control_ack(std::span<const std::uint8_t> wire);
 
 }  // namespace xsec::oran

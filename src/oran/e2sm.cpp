@@ -8,8 +8,9 @@ Bytes encode_event_trigger(const EventTriggerDefinition& m) {
   return w.take();
 }
 
-Result<EventTriggerDefinition> decode_event_trigger(const Bytes& wire) {
-  ByteReader r(wire);
+Result<EventTriggerDefinition> decode_event_trigger(
+    std::span<const std::uint8_t> wire) {
+  ByteReader r(wire.data(), wire.size());
   auto period = r.u32();
   if (!period) return period.error();
   return EventTriggerDefinition{period.value()};
@@ -22,8 +23,9 @@ Bytes encode_action_definition(const ActionDefinition& m) {
   return w.take();
 }
 
-Result<ActionDefinition> decode_action_definition(const Bytes& wire) {
-  ByteReader r(wire);
+Result<ActionDefinition> decode_action_definition(
+    std::span<const std::uint8_t> wire) {
+  ByteReader r(wire.data(), wire.size());
   auto cats = r.u8();
   if (!cats) return cats.error();
   auto max_rows = r.u16();
@@ -39,8 +41,9 @@ Bytes encode_indication_header(const IndicationHeader& m) {
   return w.take();
 }
 
-Result<IndicationHeader> decode_indication_header(const Bytes& wire) {
-  ByteReader r(wire);
+Result<IndicationHeader> decode_indication_header(
+    std::span<const std::uint8_t> wire) {
+  ByteReader r(wire.data(), wire.size());
   auto t = r.i64();
   if (!t) return t.error();
   auto gnb = r.u32();
@@ -58,22 +61,6 @@ Bytes encode_indication_message(const IndicationMessage& m) {
     w.raw(row);
   }
   return w.take();
-}
-
-Result<IndicationMessage> decode_indication_message(const Bytes& wire) {
-  ByteReader r(wire);
-  auto count = r.u32();
-  if (!count) return count.error();
-  IndicationMessage m;
-  m.rows.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto len = r.varint();
-    if (!len) return len.error();
-    auto row = r.raw(len.value());
-    if (!row) return row.error();
-    m.rows.push_back(std::move(row).value());
-  }
-  return m;
 }
 
 RowCursor::RowCursor(std::span<const std::uint8_t> wire)

@@ -60,18 +60,20 @@ struct IndicationMessage {
 };
 
 Bytes encode_event_trigger(const EventTriggerDefinition& m);
-Result<EventTriggerDefinition> decode_event_trigger(const Bytes& wire);
+Result<EventTriggerDefinition> decode_event_trigger(
+    std::span<const std::uint8_t> wire);
 Bytes encode_action_definition(const ActionDefinition& m);
-Result<ActionDefinition> decode_action_definition(const Bytes& wire);
+Result<ActionDefinition> decode_action_definition(
+    std::span<const std::uint8_t> wire);
 Bytes encode_indication_header(const IndicationHeader& m);
-Result<IndicationHeader> decode_indication_header(const Bytes& wire);
+Result<IndicationHeader> decode_indication_header(
+    std::span<const std::uint8_t> wire);
 Bytes encode_indication_message(const IndicationMessage& m);
-Result<IndicationMessage> decode_indication_message(const Bytes& wire);
 
-/// Zero-copy row iteration over an encoded IndicationMessage: each next()
-/// returns the next row blob as a span into `wire` — no per-row allocation
-/// on the RIC's ingest hot path. The spans are valid only while `wire`'s
-/// storage is.
+/// The one decoder of an encoded IndicationMessage: each next() returns
+/// the next row blob as a span into `wire` — no per-row allocation on the
+/// RIC's ingest hot path, and no allocation sized by the untrusted count
+/// prefix. The spans are valid only while `wire`'s storage is.
 class RowCursor {
  public:
   explicit RowCursor(std::span<const std::uint8_t> wire);

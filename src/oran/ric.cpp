@@ -481,8 +481,7 @@ void NearRtRic::flush_streams() {
 }
 
 void NearRtRic::from_node(std::uint64_t node_id, const Bytes& e2ap_wire) {
-  from_node_frame(
-      node_id, std::span<const std::uint8_t>(e2ap_wire.data(), e2ap_wire.size()));
+  from_node_frame(node_id, e2ap_wire);
 }
 
 void NearRtRic::from_node_frame(std::uint64_t node_id,
@@ -507,10 +506,8 @@ void NearRtRic::from_node_frame(std::uint64_t node_id,
       break;
     }
     case E2apType::kSubscriptionResponse: {
-      // Admission bookkeeping only; rejected actions are logged. Rare
-      // (once per subscription), so materializing the span is fine.
-      Bytes wire(e2ap_wire.begin(), e2ap_wire.end());
-      auto response = decode_subscription_response(wire);
+      // Admission bookkeeping only; rejected actions are logged.
+      auto response = decode_subscription_response(e2ap_wire);
       if (response && !response.value().rejected_action_ids.empty())
         XSEC_LOG_WARN("ric", "node ", node_id, " rejected ",
                       response.value().rejected_action_ids.size(),
@@ -518,8 +515,7 @@ void NearRtRic::from_node_frame(std::uint64_t node_id,
       break;
     }
     case E2apType::kControlAck: {
-      Bytes wire(e2ap_wire.begin(), e2ap_wire.end());
-      auto ack = decode_control_ack(wire);
+      auto ack = decode_control_ack(e2ap_wire);
       if (!ack) return;
       const RicRequestId& id = ack.value().request_id;
       if (id.instance_id != 0) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,8 @@ class E2NodeLink {
   /// Encoded E2SetupRequest advertising the node's RAN functions.
   virtual Bytes setup_request() = 0;
   /// Delivers an encoded E2AP PDU (subscription / control) to the node.
-  virtual void on_e2ap(const Bytes& wire) = 0;
+  /// `wire` may view transport-owned memory valid only during the call.
+  virtual void on_e2ap(std::span<const std::uint8_t> wire) = 0;
   /// Transport link state change (loss detection / recovery). A node that
   /// implements reconnection reacts to `up == false` by clearing its
   /// subscription state and retrying E2 Setup with backoff.

@@ -40,11 +40,7 @@ FaultyE2Transport::FaultyE2Transport(NearRtRic* ric, E2NodeLink* node,
       });
   link_->set_node_sink(
       [this](std::uint64_t, std::span<const std::uint8_t> pdu) {
-        // on_e2ap takes owned Bytes; materialize into the scratch ring
-        // (reused capacity — no steady-state allocation).
-        Bytes& wire = rx_scratch_[rx_scratch_idx_++ % rx_scratch_.size()];
-        wire.assign(pdu.begin(), pdu.end());
-        node_->on_e2ap(wire);
+        node_->on_e2ap(pdu);
       });
 }
 
@@ -83,8 +79,8 @@ void FaultyE2Transport::to_ric(std::uint64_t node_id, Bytes wire) {
   send(std::move(wire), /*toward_ric=*/true, node_id);
 }
 
-void FaultyE2Transport::on_e2ap(const Bytes& wire) {
-  send(wire, /*toward_ric=*/false, node_id_);
+void FaultyE2Transport::on_e2ap(std::span<const std::uint8_t> wire) {
+  send(Bytes(wire.begin(), wire.end()), /*toward_ric=*/false, node_id_);
 }
 
 void FaultyE2Transport::send(Bytes wire, bool toward_ric,

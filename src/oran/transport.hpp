@@ -15,7 +15,6 @@
 // delivered synchronously, node -> RIC frames after a 1 ms E2 link delay.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -109,7 +108,7 @@ class FaultyE2Transport : public E2NodeLink {
 
   // E2NodeLink (the RIC-facing side; RIC -> node direction):
   Bytes setup_request() override { return node_->setup_request(); }
-  void on_e2ap(const Bytes& wire) override;
+  void on_e2ap(std::span<const std::uint8_t> wire) override;
 
   bool link_up() const { return link_up_; }
   /// Snapshot assembled from the registry counters ("<scope>.*").
@@ -155,12 +154,6 @@ class FaultyE2Transport : public E2NodeLink {
   /// plan's reordering and the seed pipeline's timing is preserved
   /// exactly on every backend.
   std::unique_ptr<transport::FramedLink> link_;
-  /// Reusable buffers for RIC -> node deliveries: E2NodeLink::on_e2ap
-  /// takes owned Bytes, so the frame span is materialized here. A small
-  /// ring instead of one buffer because a delivery's side effects can
-  /// nest further deliveries while the outer buffer is still being read.
-  std::array<Bytes, 4> rx_scratch_;
-  std::size_t rx_scratch_idx_ = 0;
   /// Framed bytes of node -> RIC frames inside their transit-delay window
   /// (sent, not yet enqueued). ready_for() reserves them against the
   /// channel capacity.

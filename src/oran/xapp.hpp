@@ -33,21 +33,14 @@ class XApp {
   /// from here on. Subscriptions are typically created in this hook.
   virtual void on_start() {}
 
-  /// An E2 indication matching one of this xApp's subscriptions.
-  virtual void on_indication(std::uint64_t node_id,
-                             const RicIndication& indication) {
-    (void)node_id;
-    (void)indication;
-  }
-
-  /// Zero-copy delivery: `view`'s header/message spans alias
-  /// transport-owned memory and are valid only during the call. The
-  /// default materializes an owned copy and calls on_indication, so xApps
-  /// that never opt in keep their existing semantics; hot-path consumers
-  /// override this instead and read the spans in place.
+  /// An E2 indication matching one of this xApp's subscriptions. The
+  /// view's header/message spans alias transport-owned memory and are
+  /// valid only during the call: read them in place (e2sm::RowCursor), or
+  /// keep view.materialize() to hold the indication longer.
   virtual void on_indication_view(std::uint64_t node_id,
                                   const RicIndicationView& view) {
-    on_indication(node_id, view.materialize());
+    (void)node_id;
+    (void)view;
   }
 
   /// Acknowledgement for a control request this xApp issued.

@@ -53,8 +53,8 @@ class SequenceAuditXapp : public oran::XApp {
   void on_node_connected(std::uint64_t node_id) override {
     subscribe_to_node(node_id);
   }
-  void on_indication(std::uint64_t node_id,
-                     const oran::RicIndication& indication) override {
+  void on_indication_view(std::uint64_t node_id,
+                          const oran::RicIndicationView& indication) override {
     logs_[{node_id, indication.request_id.instance_id}].delivered.push_back(
         indication.sequence_number);
   }

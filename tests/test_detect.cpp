@@ -484,7 +484,7 @@ struct MobiWatchHarness {
                       static_cast<std::int64_t>(fed_) * 1000)
               .to_kv_bytes());
       indication.message = encode_indication_message(message);
-      xapp->on_indication(1, indication);
+      xapp->on_indication_view(1, oran::as_view(indication));
       ++fed_;
     }
   }

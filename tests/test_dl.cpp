@@ -22,6 +22,7 @@
 #include "dl/optim.hpp"
 #include "dl/serialize.hpp"
 #include "dl/tensor.hpp"
+#include "mobiflow/trace.hpp"
 
 // --- Heap-allocation hook ---------------------------------------------
 //
@@ -1071,6 +1072,27 @@ TEST(Allocation, CorpusScoringAllocatesBoundedBlocks) {
   const std::size_t bound = std::max(
       detect::kScoreChunk * flat * sizeof(float), n * sizeof(double));
   EXPECT_LE(largest, bound);
+}
+
+TEST(Allocation, ForgedTraceCountAllocatesBoundedBlocks) {
+  // Spill files and incident reports carry a u32 entry count that a
+  // forged payload can set to anything: the decoder may reserve at most
+  // one entry per remaining byte, however large the claim.
+  mobiflow::Trace one;
+  one.add(mobiflow::Record{}, true);
+  Bytes forged = one.serialize();
+  for (std::size_t i = 4; i < 8; ++i) forged[i] = 0xFF;  // count field
+
+  g_largest_alloc.store(0);
+  EXPECT_FALSE(mobiflow::Trace::deserialize(forged).ok());
+  EXPECT_LE(g_largest_alloc.load(),
+            (forged.size() - 8) * sizeof(mobiflow::LabeledRecord));
+
+  // The bare header (magic + count, no entries) reserves nothing at all.
+  forged.resize(8);
+  g_largest_alloc.store(0);
+  EXPECT_FALSE(mobiflow::Trace::deserialize(forged).ok());
+  EXPECT_LE(g_largest_alloc.load(), 256u);
 }
 
 TEST(Allocation, WarmedScoringOnWorkerThreadAllocatesNothing) {

@@ -260,7 +260,7 @@ TEST(RecordKvBytes, RoundTrip) {
   auto back = mobiflow::Record::from_kv_bytes(r.to_kv_bytes());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), r);
-  EXPECT_FALSE(mobiflow::Record::from_kv_bytes({0xFF}).ok());
+  EXPECT_FALSE(mobiflow::Record::from_kv_bytes(Bytes{0xFF}).ok());
 }
 
 // --- A1 policies -------------------------------------------------------------

@@ -162,7 +162,7 @@ TEST(Control, RoundTrip) {
   auto decoded = decode_control(encode_control(cmd));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().rnti, 0x1234);
-  EXPECT_FALSE(decode_control({0xFF, 0, 0}).ok());
+  EXPECT_FALSE(decode_control(Bytes{0xFF, 0, 0}).ok());
 }
 
 // --- RicAgent ----------------------------------------------------------
@@ -322,15 +322,18 @@ TEST_F(AgentFixture, SubscriptionEnablesBufferedReporting) {
   EXPECT_EQ(agent->indications_sent(), 1u);
 
   // The indication carries both records as KV rows.
-  auto indication = oran::decode_indication(to_ric.back());
+  auto indication = oran::decode_indication_view(to_ric.back());
   ASSERT_TRUE(indication.ok());
-  auto message =
-      oran::e2sm::decode_indication_message(indication.value().message);
-  ASSERT_TRUE(message.ok());
-  ASSERT_EQ(message.value().rows.size(), 2u);
-  auto first = Record::from_kv_bytes(message.value().rows[0]);
+  oran::e2sm::RowCursor rows(indication.value().message);
+  ASSERT_EQ(rows.count(), 2u);
+  auto row = rows.next();
+  ASSERT_TRUE(row.has_value());
+  auto first = Record::from_kv_bytes(*row);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().msg, vocab::MsgType::kRrcSetupRequest);
+  ASSERT_TRUE(rows.next().has_value());
+  EXPECT_FALSE(rows.next().has_value());
+  EXPECT_TRUE(rows.ok());
 }
 
 TEST_F(AgentFixture, PeriodicFlushViaTimer) {
@@ -376,7 +379,7 @@ TEST_F(AgentFixture, MultipleSubscriptionsEachReceiveReports) {
   feed_f1(ran::RrcMessage{ran::RrcSetup{}}, 1, 0x1);
   std::set<std::uint32_t> requestors;
   for (const Bytes& wire : to_ric) {
-    auto indication = oran::decode_indication(wire);
+    auto indication = oran::decode_indication_view(wire);
     if (indication.ok())
       requestors.insert(indication.value().request_id.requestor_id);
   }

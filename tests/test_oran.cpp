@@ -51,11 +51,14 @@ TEST(E2ap, IndicationRoundTrip) {
   indication.type = RicIndicationType::kInsert;
   indication.header = {0xAA};
   indication.message = {0xBB, 0xCC};
-  auto decoded = decode_indication(encode_e2ap(indication));
+  Bytes wire = encode_e2ap(indication);
+  auto decoded = decode_indication_view(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().sequence_number, 77u);
   EXPECT_EQ(decoded.value().type, RicIndicationType::kInsert);
-  EXPECT_EQ(decoded.value().message, (Bytes{0xBB, 0xCC}));
+  RicIndication owned = decoded.value().materialize();
+  EXPECT_EQ(owned.header, (Bytes{0xAA}));
+  EXPECT_EQ(owned.message, (Bytes{0xBB, 0xCC}));
 }
 
 TEST(E2ap, ControlRoundTrip) {
@@ -78,13 +81,13 @@ TEST(E2ap, ControlRoundTrip) {
 TEST(E2ap, TypeMismatchRejected) {
   Bytes wire = encode_e2ap(E2SetupResponse{});
   EXPECT_FALSE(decode_setup_request(wire).ok());
-  EXPECT_FALSE(decode_indication(wire).ok());
+  EXPECT_FALSE(decode_indication_view(wire).ok());
 }
 
 TEST(E2ap, GarbageRejected) {
   EXPECT_FALSE(e2ap_type(Bytes{}).ok());
   EXPECT_FALSE(e2ap_type(Bytes{0x01, 0xFF}).ok());
-  EXPECT_FALSE(decode_indication({0x01, 0x05}).ok());  // truncated body
+  EXPECT_FALSE(decode_indication_view(Bytes{0x01, 0x05}).ok());  // truncated
 }
 
 // --- E2SM ---------------------------------------------------------------
@@ -109,12 +112,17 @@ TEST(E2sm, IndicationMessageRoundTrip) {
   e2sm::IndicationMessage message;
   message.rows.push_back(Bytes{1, 2, 3, 0xFF, 0});
   message.rows.push_back(Bytes{});
-  auto decoded = e2sm::decode_indication_message(
-      e2sm::encode_indication_message(message));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().rows.size(), 2u);
-  EXPECT_EQ(decoded.value().rows[0], (Bytes{1, 2, 3, 0xFF, 0}));
-  EXPECT_TRUE(decoded.value().rows[1].empty());
+  Bytes wire = e2sm::encode_indication_message(message);
+  e2sm::RowCursor rows(wire);
+  ASSERT_EQ(rows.count(), 2u);
+  auto first = rows.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(Bytes(first->begin(), first->end()), (Bytes{1, 2, 3, 0xFF, 0}));
+  auto second = rows.next();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->empty());
+  EXPECT_FALSE(rows.next().has_value());
+  EXPECT_TRUE(rows.ok());
 }
 
 TEST(E2sm, IndicationHeaderRoundTrip) {
@@ -224,8 +232,8 @@ class FakeNode : public E2NodeLink {
     if (advertise_) setup.functions.push_back(e2sm::make_mobiflow_function());
     return encode_e2ap(setup);
   }
-  void on_e2ap(const Bytes& wire) override {
-    received.push_back(wire);
+  void on_e2ap(std::span<const std::uint8_t> wire) override {
+    received.emplace_back(wire.begin(), wire.end());
     auto type = e2ap_type(wire);
     if (type && type.value() == E2apType::kSubscriptionRequest) {
       auto request = decode_subscription_request(wire);
@@ -244,8 +252,8 @@ class FakeNode : public E2NodeLink {
 class RecordingXapp : public XApp {
  public:
   RecordingXapp() : XApp("recorder") {}
-  void on_indication(std::uint64_t node,
-                     const RicIndication& indication) override {
+  void on_indication_view(std::uint64_t node,
+                          const RicIndicationView& indication) override {
     indications.emplace_back(node, indication.sequence_number);
   }
   void on_control_ack(std::uint64_t, const RicControlAck& ack) override {

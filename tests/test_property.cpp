@@ -179,12 +179,27 @@ TEST_P(CodecProperty, RandomOpaqueRowsRoundTrip) {
       b = static_cast<std::uint8_t>(rng.uniform_u64(0, 255));
     message.rows.push_back(std::move(row));
   }
-  auto decoded = oran::e2sm::decode_indication_message(
-      oran::e2sm::encode_indication_message(message));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().rows.size(), message.rows.size());
-  for (std::size_t i = 0; i < message.rows.size(); ++i)
-    EXPECT_EQ(decoded.value().rows[i], message.rows[i]);
+  Bytes wire = oran::e2sm::encode_indication_message(message);
+  oran::e2sm::RowCursor rows(wire);
+  ASSERT_EQ(rows.count(), message.rows.size());
+  for (const Bytes& expected : message.rows) {
+    auto row = rows.next();
+    ASSERT_TRUE(row.has_value());
+    EXPECT_EQ(Bytes(row->begin(), row->end()), expected);
+  }
+  EXPECT_FALSE(rows.next().has_value());
+  EXPECT_TRUE(rows.ok());
+
+  // Every proper prefix fails before the announced rows are all read. The
+  // prefix is copied so ASan sees any read past its end.
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
+    oran::e2sm::RowCursor prefix(cut);
+    std::uint32_t read = 0;
+    while (prefix.next()) ++read;
+    EXPECT_FALSE(prefix.ok()) << len << "-byte prefix of " << wire.size();
+    EXPECT_LT(read, message.rows.size()) << len << "-byte prefix";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecProperty,
@@ -284,7 +299,8 @@ std::vector<Bytes> random_e2ap_wires(Rng& rng) {
   return wires;
 }
 
-/// Runs every E2AP decoder over the wire; none may crash.
+/// Runs every E2AP decoder over the wire, and the E2SM decoders over the
+/// blobs of anything that decodes as an indication; none may crash.
 void decode_with_all(const Bytes& wire) {
   (void)oran::e2ap_type(wire);
   (void)oran::decode_setup_request(wire);
@@ -292,7 +308,11 @@ void decode_with_all(const Bytes& wire) {
   (void)oran::decode_subscription_request(wire);
   (void)oran::decode_subscription_response(wire);
   (void)oran::decode_subscription_delete(wire);
-  (void)oran::decode_indication(wire);
+  if (auto view = oran::decode_indication_view(wire)) {
+    (void)oran::e2sm::decode_indication_header(view.value().header);
+    oran::e2sm::RowCursor rows(view.value().message);
+    while (auto row = rows.next()) (void)mobiflow::Record::from_kv_bytes(*row);
+  }
   (void)oran::decode_indication_nack(wire);
   (void)oran::decode_control_request(wire);
   (void)oran::decode_control_ack(wire);
@@ -327,7 +347,7 @@ TEST_P(E2apProperty, EveryTruncationOfEveryTypeRejected) {
             ok = oran::decode_subscription_delete(cut).ok();
             break;
           case oran::E2apType::kIndication:
-            ok = oran::decode_indication(cut).ok();
+            ok = oran::decode_indication_view(cut).ok();
             break;
           case oran::E2apType::kControlRequest:
             ok = oran::decode_control_request(cut).ok();
@@ -445,6 +465,53 @@ TEST_P(RecordProperty, RandomCorruptionNeverCrashesRecordDecode) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecordProperty,
                          ::testing::Values(4, 5, 6, 77, 2024));
+
+// --- Trace files (agent spill segments, incident-report payloads) -----------
+
+class TraceProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+mobiflow::Trace random_trace(Rng& rng) {
+  mobiflow::Trace trace;
+  for (std::uint64_t i = 0, n = rng.uniform_u64(1, 5); i < n; ++i)
+    trace.add(random_record(rng), rng.chance(0.3));
+  return trace;
+}
+
+TEST_P(TraceProperty, EveryTruncationRejected) {
+  Rng rng(GetParam() ^ 0x7ace);
+  for (int round = 0; round < 10; ++round) {
+    Bytes wire = random_trace(rng).serialize();
+    ASSERT_TRUE(mobiflow::Trace::deserialize(wire).ok());
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(mobiflow::Trace::deserialize(cut).ok())
+          << len << "-byte prefix of " << wire.size() << " decoded";
+    }
+  }
+}
+
+TEST_P(TraceProperty, RandomBitFlipsNeverCrash) {
+  Rng rng(GetParam() ^ 0xf1a9);
+  for (int round = 0; round < 200; ++round) {
+    Bytes wire = random_trace(rng).serialize();
+    for (std::uint64_t f = 0, n = rng.uniform_u64(1, 4); f < n; ++f)
+      wire[rng.uniform_u64(0, wire.size() - 1)] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_u64(0, 7));
+    auto decoded = mobiflow::Trace::deserialize(wire);  // must not crash
+    if (decoded.ok()) {
+      // Whatever decoded re-serializes to a trace that decodes the same.
+      auto again = mobiflow::Trace::deserialize(decoded.value().serialize());
+      ASSERT_TRUE(again.ok());
+      ASSERT_EQ(again.value().size(), decoded.value().size());
+      for (std::size_t i = 0; i < decoded.value().size(); ++i)
+        EXPECT_EQ(again.value().entries()[i].record,
+                  decoded.value().entries()[i].record);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceProperty,
+                         ::testing::Values(8, 9, 10, 99, 4242));
 
 // --- Percentile properties -------------------------------------------------
 
