@@ -78,34 +78,39 @@ dl::Confusion cv_autoencoder(const detect::WindowDataset& benign,
   return confusion;
 }
 
+/// Benign cross-validation for the LSTM: contiguous k-fold over windows.
+/// Each fold's model scores every window once; the train-fold scores set
+/// the threshold and every flagged held-out window is a false positive.
 dl::Confusion cv_lstm(const detect::WindowDataset& benign,
                       const EvalConfig& config) {
-  auto all = benign.lstm_samples();
+  const std::vector<std::size_t>& starts = benign.lstm_starts();
   dl::Confusion confusion;
-  auto folds = dl::kfold_indices(all.size(), config.cv_folds);
+  auto folds = dl::kfold_indices(starts.size(), config.cv_folds);
   std::uint64_t fold_seed = config.detector.seed;
   for (const auto& [train_idx, test_idx] : folds) {
-    std::vector<dl::SequenceSample> train, test;
-    train.reserve(train_idx.size());
-    test.reserve(test_idx.size());
-    for (std::size_t i : train_idx) train.push_back(all[i]);
-    for (std::size_t i : test_idx) test.push_back(all[i]);
+    std::vector<std::size_t> train_starts;
+    train_starts.reserve(train_idx.size());
+    for (std::size_t i : train_idx) train_starts.push_back(starts[i]);
 
     detect::DetectorConfig fold_config = config.detector;
     fold_config.seed = fold_seed++;
     detect::LstmDetector detector(config.window_size, benign.feature_dim(),
                                   fold_config, config.lstm_hidden);
-    detector.fit_scaler(train);
+    detector.fit_scaler(benign.features(), train_starts);
     dl::LstmTrainConfig train_config;
     train_config.epochs = config.detector.epochs;
     train_config.batch_size = config.detector.batch_size;
     train_config.learning_rate = config.detector.learning_rate;
-    auto train_std = detector.standardize(train);
-    detector.model().fit(train_std, train_config);
-    double threshold = percentile(detector.sample_errors(train_std),
+    detector.model().fit(detector.standardize(benign.features()),
+                         train_starts, config.window_size, train_config);
+    std::vector<double> scores = detector.score(benign);
+    std::vector<double> train_scores;
+    train_scores.reserve(train_idx.size());
+    for (std::size_t i : train_idx) train_scores.push_back(scores[i]);
+    double threshold = percentile(std::move(train_scores),
                                   config.detector.threshold_percentile);
-    for (double error : detector.sample_errors(detector.standardize(test)))
-      confusion.add(error > threshold, /*actually_positive=*/false);
+    for (std::size_t i : test_idx)
+      confusion.add(scores[i] > threshold, /*actually_positive=*/false);
   }
   return confusion;
 }

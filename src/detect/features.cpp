@@ -338,22 +338,6 @@ std::size_t WindowDataset::lstm_sample_count() const {
   return lstm_starts_.size();
 }
 
-std::vector<dl::SequenceSample> WindowDataset::lstm_samples() const {
-  std::vector<dl::SequenceSample> out;
-  out.reserve(lstm_starts_.size());
-  for (std::size_t s : lstm_starts_) {
-    dl::SequenceSample sample;
-    sample.window.reserve(window_);
-    for (std::size_t t = 0; t < window_; ++t)
-      sample.window.emplace_back(features_.row(s + t),
-                                 features_.row(s + t) + dim_);
-    sample.target.assign(features_.row(s + window_),
-                         features_.row(s + window_) + dim_);
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
 std::vector<bool> WindowDataset::lstm_labels() const {
   std::vector<bool> out(lstm_starts_.size(), false);
   for (std::size_t i = 0; i < lstm_starts_.size(); ++i) {

@@ -20,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "dl/lstm.hpp"
 #include "dl/tensor.hpp"
 #include "mobiflow/record.hpp"
 #include "mobiflow/trace.hpp"
@@ -127,8 +126,10 @@ class WindowDataset {
   /// Window labels for AE rows (malicious iff any covered record is).
   std::vector<bool> ae_labels() const;
 
-  /// LSTM samples: window [i, i+N-1] predicting record i+N.
-  std::vector<dl::SequenceSample> lstm_samples() const;
+  /// LSTM samples: window [s, s+N-1] of features() predicting record s+N,
+  /// one per start row s. Starts are ascending and consecutive within a
+  /// capture.
+  const std::vector<std::size_t>& lstm_starts() const { return lstm_starts_; }
   std::size_t lstm_sample_count() const;
   std::vector<bool> lstm_labels() const;
 

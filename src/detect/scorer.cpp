@@ -104,6 +104,26 @@ Status read_scaler(ByteReader& r, Standardizer& scaler) {
   return Status::ok_status();
 }
 
+/// Float count of the parameters a declared shape implies, summed with
+/// overflow checks: a state blob's shape fields are untrusted until the
+/// weights they describe are known to fit in the bytes that follow them.
+class ParamCount {
+ public:
+  /// A rows × cols weight matrix.
+  void add(std::uint64_t rows, std::uint64_t cols) {
+    std::uint64_t n = 0;
+    overflow_ = overflow_ || __builtin_mul_overflow(rows, cols, &n) ||
+                __builtin_add_overflow(total_, n, &total_);
+  }
+  bool fits(std::size_t bytes) const {
+    return !overflow_ && total_ <= bytes / sizeof(float);
+  }
+
+ private:
+  std::uint64_t total_ = 0;
+  bool overflow_ = false;
+};
+
 }  // namespace
 
 double AnomalyDetector::score_window(
@@ -123,23 +143,31 @@ void AnomalyDetector::score_windows(const float* rows, std::size_t row_dim,
 }
 
 void Standardizer::fit(const dl::Matrix& data, float std_floor) {
-  const std::size_t dim = data.cols();
+  fit(data, {0}, data.rows(), std_floor);
+}
+
+void Standardizer::fit(const dl::Matrix& rows,
+                       const std::vector<std::size_t>& starts,
+                       std::size_t span, float std_floor) {
+  const std::size_t dim = rows.cols();
+  const std::size_t n = starts.size() * span;
   mean_.assign(dim, 0.0f);
   inv_std_.assign(dim, 1.0f);
-  if (data.rows() == 0) return;
-  for (std::size_t r = 0; r < data.rows(); ++r)
-    for (std::size_t c = 0; c < dim; ++c) mean_[c] += data.at(r, c);
-  for (std::size_t c = 0; c < dim; ++c)
-    mean_[c] /= static_cast<float>(data.rows());
+  if (n == 0) return;
+  for (std::size_t s : starts)
+    for (std::size_t r = s; r < s + span; ++r)
+      for (std::size_t c = 0; c < dim; ++c) mean_[c] += rows.at(r, c);
+  for (std::size_t c = 0; c < dim; ++c) mean_[c] /= static_cast<float>(n);
   std::vector<double> var(dim, 0.0);
-  for (std::size_t r = 0; r < data.rows(); ++r)
-    for (std::size_t c = 0; c < dim; ++c) {
-      double d = data.at(r, c) - mean_[c];
-      var[c] += d * d;
-    }
+  for (std::size_t s : starts)
+    for (std::size_t r = s; r < s + span; ++r)
+      for (std::size_t c = 0; c < dim; ++c) {
+        double d = rows.at(r, c) - mean_[c];
+        var[c] += d * d;
+      }
   for (std::size_t c = 0; c < dim; ++c) {
-    float std_dev = static_cast<float>(
-        std::sqrt(var[c] / static_cast<double>(data.rows())));
+    float std_dev =
+        static_cast<float>(std::sqrt(var[c] / static_cast<double>(n)));
     inv_std_[c] = 1.0f / std::max(std_dev, std_floor);
   }
 }
@@ -149,12 +177,6 @@ void Standardizer::apply(dl::Matrix& data) const {
   for (std::size_t r = 0; r < data.rows(); ++r)
     for (std::size_t c = 0; c < data.cols(); ++c)
       data.at(r, c) = (data.at(r, c) - mean_[c]) * inv_std_[c];
-}
-
-void Standardizer::apply(std::vector<float>& row) const {
-  assert(row.size() == mean_.size());
-  for (std::size_t c = 0; c < row.size(); ++c)
-    row[c] = (row[c] - mean_[c]) * inv_std_[c];
 }
 
 AutoencoderDetector::AutoencoderDetector(std::size_t window_size,
@@ -191,12 +213,16 @@ void AutoencoderDetector::fit(const WindowDataset& benign) {
 
 std::vector<double> AutoencoderDetector::window_scores(
     const dl::Matrix& raw_windows) {
-  std::vector<double> scores(raw_windows.rows());
-  for (std::size_t start = 0; start < scores.size(); start += kScoreChunk) {
-    const std::size_t n = std::min(kScoreChunk, scores.size() - start);
-    score_rows(raw_windows.row(start), raw_windows.cols(), n,
-               scores.data() + start);
-  }
+  return window_scores(raw_windows.row(0), raw_windows.rows());
+}
+
+std::vector<double> AutoencoderDetector::window_scores(
+    const float* raw_windows, std::size_t n) {
+  const std::size_t flat = window_size_ * feature_dim_;
+  std::vector<double> scores(n);
+  for (std::size_t start = 0; start < n; start += kScoreChunk)
+    score_rows(raw_windows + start * flat, flat,
+               std::min(kScoreChunk, n - start), scores.data() + start);
   return scores;
 }
 
@@ -270,59 +296,41 @@ LstmDetector::LstmDetector(std::size_t window_size, std::size_t feature_dim,
       model_(dl::LstmConfig{feature_dim, hidden_dim, config.seed,
                             /*sigmoid_output=*/false}) {}
 
-void LstmDetector::fit_scaler(
-    const std::vector<dl::SequenceSample>& raw_samples) {
-  // Fit on every record vector appearing in the samples.
-  std::size_t rows = 0;
-  for (const auto& sample : raw_samples) rows += sample.window.size() + 1;
-  dl::Matrix all(rows, feature_dim_);
-  std::size_t r = 0;
-  for (const auto& sample : raw_samples) {
-    for (const auto& row : sample.window) {
-      for (std::size_t c = 0; c < feature_dim_; ++c) all.at(r, c) = row[c];
-      ++r;
-    }
-    for (std::size_t c = 0; c < feature_dim_; ++c)
-      all.at(r, c) = sample.target[c];
-    ++r;
-  }
-  scaler_.fit(all);
-}
-
-std::vector<dl::SequenceSample> LstmDetector::standardize(
-    const std::vector<dl::SequenceSample>& raw_samples) const {
-  std::vector<dl::SequenceSample> out = raw_samples;
-  if (!scaler_.fitted()) return out;
-  for (auto& sample : out) {
-    for (auto& row : sample.window) scaler_.apply(row);
-    scaler_.apply(sample.target);
-  }
+dl::Matrix LstmDetector::standardize(const dl::Matrix& rows) const {
+  dl::Matrix out = rows;
+  if (scaler_.fitted()) scaler_.apply(out);
   return out;
-}
-
-std::vector<double> LstmDetector::sample_errors(
-    const std::vector<dl::SequenceSample>& standardized) {
-  if (config_.lstm_score == DetectorConfig::LstmScore::kNextOnly)
-    return model_.prediction_errors(standardized);
-  return model_.max_step_errors(standardized);
 }
 
 void LstmDetector::fit(const WindowDataset& benign) {
   assert(benign.window_size() == window_size_);
   assert(benign.feature_dim() == feature_dim_);
-  auto raw = benign.lstm_samples();
-  fit_scaler(raw);
-  auto samples = standardize(raw);
+  fit_scaler(benign.features(), benign.lstm_starts());
   dl::LstmTrainConfig train;
   train.epochs = config_.epochs;
   train.batch_size = config_.batch_size;
   train.learning_rate = config_.learning_rate;
-  model_.fit(samples, train);
-  calibrate(sample_errors(samples), config_.threshold_percentile);
+  model_.fit(standardize(benign.features()), benign.lstm_starts(),
+             window_size_, train);
+  calibrate(score(benign), config_.threshold_percentile);
 }
 
 std::vector<double> LstmDetector::score(const WindowDataset& data) {
-  return sample_errors(standardize(data.lstm_samples()));
+  // Consecutive starts are sliding windows over one capture's rows, which
+  // is the layout score_windows() takes: each run is scored kScoreChunk
+  // windows per pass, and a run ends at a capture boundary.
+  const std::vector<std::size_t>& starts = data.lstm_starts();
+  std::vector<double> scores(starts.size());
+  for (std::size_t i = 0; i < starts.size();) {
+    std::size_t n = 1;
+    while (n < kScoreChunk && i + n < starts.size() &&
+           starts[i + n] == starts[i] + n)
+      ++n;
+    score_windows(data.features().row(starts[i]), feature_dim_,
+                  window_size_ + 1, n, scores.data() + i);
+    i += n;
+  }
+  return scores;
 }
 
 double LstmDetector::score_window(const float* rows, std::size_t n_rows) {
@@ -420,41 +428,41 @@ bool AutoencoderDetector::fine_tune(const float* windows,
                                     const FineTuneConfig& tune) {
   if (n_windows == 0 || n_rows != window_size_) return false;
   const std::size_t flat = window_size_ * feature_dim_;
-  dl::Matrix raw(n_windows, flat);
-  std::memcpy(raw.row(0), windows, n_windows * flat * sizeof(float));
+  dl::Matrix data(n_windows, flat);
+  std::memcpy(data.row(0), windows, n_windows * flat * sizeof(float));
   // The scaler stays fixed: scores from the fine-tuned model live on the
   // same scale as the parent's, which is what lets the shadow gate compare
   // error distributions across versions.
-  dl::Matrix data = standardize(raw);
+  if (scaler_.fitted()) scaler_.apply(data);
   dl::TrainConfig train;
   train.epochs = tune.epochs;
   train.batch_size = tune.batch_size;
   train.learning_rate = tune.learning_rate;
   model_.fit(data, train);
-  calibrate(window_scores(raw), tune.threshold_percentile);
+  calibrate(window_scores(windows, n_windows), tune.threshold_percentile);
   return true;
 }
 
 bool LstmDetector::fine_tune(const float* windows, std::size_t n_windows,
                              std::size_t n_rows, const FineTuneConfig& tune) {
   if (n_windows == 0 || n_rows != window_size_ + 1) return false;
-  std::vector<dl::SequenceSample> raw(n_windows);
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    const float* base = windows + w * n_rows * feature_dim_;
-    raw[w].window.resize(window_size_);
-    for (std::size_t t = 0; t < window_size_; ++t)
-      raw[w].window[t].assign(base + t * feature_dim_,
-                              base + (t + 1) * feature_dim_);
-    raw[w].target.assign(base + window_size_ * feature_dim_,
-                         base + (window_size_ + 1) * feature_dim_);
-  }
-  auto samples = standardize(raw);
+  // The harvested windows do not overlap: window w is the rows
+  // [w * n_rows, (w + 1) * n_rows) of one block, its target the last.
+  const std::size_t window_floats = n_rows * feature_dim_;
+  dl::Matrix rows(n_windows * n_rows, feature_dim_);
+  std::memcpy(rows.row(0), windows, rows.size() * sizeof(float));
+  if (scaler_.fitted()) scaler_.apply(rows);
+  std::vector<std::size_t> starts(n_windows);
+  for (std::size_t w = 0; w < n_windows; ++w) starts[w] = w * n_rows;
   dl::LstmTrainConfig train;
   train.epochs = tune.epochs;
   train.batch_size = tune.batch_size;
   train.learning_rate = tune.learning_rate;
-  model_.fit(samples, train);
-  calibrate(sample_errors(samples), tune.threshold_percentile);
+  model_.fit(rows, starts, window_size_, train);
+  std::vector<double> scores(n_windows);
+  for (std::size_t w = 0; w < n_windows; ++w)
+    scores[w] = score_window(windows + w * window_floats, n_rows);
+  calibrate(std::move(scores), tune.threshold_percentile);
   return true;
 }
 
@@ -479,9 +487,11 @@ Result<std::unique_ptr<AnomalyDetector>> restore_detector(const Bytes& state) {
   // The AE standardizes flattened windows, the LSTM standardizes rows.
   std::size_t scaler_dim = feature_dim.value();
   if (kind.value() == kKindAutoencoder) {
-    scaler_dim = window_size.value() * feature_dim.value();
+    scaler_dim = std::size_t{window_size.value()} * feature_dim.value();
     auto n_hidden = r.u32();
     if (!n_hidden) return n_hidden.error();
+    if (n_hidden.value() == 0)
+      return Error::make("range", "no hidden layers");
     if (n_hidden.value() > r.remaining())
       return Error::make("overflow", "hidden count exceeds payload");
     std::vector<std::size_t> hidden(n_hidden.value());
@@ -494,6 +504,19 @@ Result<std::unique_ptr<AnomalyDetector>> restore_detector(const Bytes& state) {
     }
     auto config = read_config(r);
     if (!config) return config.error();
+    // Layer widths in -> hidden... -> mirrored hidden... -> in, each layer
+    // a weight matrix plus a bias row.
+    std::vector<std::uint64_t> widths{scaler_dim};
+    widths.insert(widths.end(), hidden.begin(), hidden.end());
+    widths.insert(widths.end(), hidden.rbegin() + 1, hidden.rend());
+    widths.push_back(scaler_dim);
+    ParamCount count;
+    for (std::size_t l = 1; l < widths.size(); ++l) {
+      count.add(widths[l - 1], widths[l]);
+      count.add(1, widths[l]);
+    }
+    if (!count.fits(r.remaining()))
+      return Error::make("shape", "declared shape exceeds payload");
     auto ae = std::make_unique<AutoencoderDetector>(
         window_size.value(), feature_dim.value(), config.value(),
         std::move(hidden));
@@ -507,6 +530,14 @@ Result<std::unique_ptr<AnomalyDetector>> restore_detector(const Bytes& state) {
       return Error::make("range", "zero hidden dim");
     auto config = read_config(r);
     if (!config) return config.error();
+    // Wx, Wh and the gate bias (4H columns each), then the output head.
+    const std::uint64_t d = feature_dim.value();
+    const std::uint64_t h = hidden_dim.value();
+    ParamCount count;
+    count.add(d + h + 1, 4 * h);
+    count.add(h + 1, d);
+    if (!count.fits(r.remaining()))
+      return Error::make("shape", "declared shape exceeds payload");
     auto lstm = std::make_unique<LstmDetector>(
         window_size.value(), feature_dim.value(), config.value(),
         hidden_dim.value());

@@ -27,11 +27,15 @@ namespace xsec::detect {
 class Standardizer {
  public:
   void fit(const dl::Matrix& data, float std_floor = 0.05f);
+  /// Fits over the `span`-row windows of `rows` that begin at `starts`,
+  /// window by window: a row shared by several windows counts once per
+  /// window, as in a corpus of gathered windows.
+  void fit(const dl::Matrix& rows, const std::vector<std::size_t>& starts,
+           std::size_t span, float std_floor = 0.05f);
   bool fitted() const { return !mean_.empty(); }
   std::size_t dim() const { return mean_.size(); }
 
   void apply(dl::Matrix& data) const;
-  void apply(std::vector<float>& row) const;
 
   /// Fitted statistics, exposed for model-state serialization (the SDL
   /// model store persists the scaler next to the weights — a restored
@@ -156,11 +160,10 @@ struct DetectorConfig {
   LstmScore lstm_score = LstmScore::kMaxStep;
 };
 
-/// Windows per staged pass when an autoencoder-family detector scores a
-/// whole corpus (threshold calibration, Table 2): the corpus goes through
-/// the inference workspace one chunk at a time, so its size bounds no
-/// buffer. Scores are bit-identical to one pass, because rows are
-/// independent.
+/// Windows per staged pass when a detector scores a whole corpus
+/// (threshold calibration, Table 2): the corpus goes through the inference
+/// workspace one chunk at a time, so its size bounds no buffer. Scores are
+/// bit-identical to one pass, because windows are independent.
 constexpr std::size_t kScoreChunk = 64;
 
 class AutoencoderDetector : public AnomalyDetector {
@@ -209,6 +212,8 @@ class AutoencoderDetector : public AnomalyDetector {
   /// window's score to scores[w].
   void score_rows(const float* first, std::size_t stride, std::size_t n,
                   double* scores);
+  /// window_scores() over `n` flattened raw windows laid out contiguously.
+  std::vector<double> window_scores(const float* raw_windows, std::size_t n);
 
   std::size_t window_size_;
   std::size_t feature_dim_;
@@ -245,13 +250,15 @@ class LstmDetector : public AnomalyDetector {
                  std::size_t n_rows, const FineTuneConfig& tune) override;
 
   dl::LstmPredictor& model() { return model_; }
-  void fit_scaler(const std::vector<dl::SequenceSample>& raw_samples);
-  /// Standardizes raw samples for train/score (shared by fit and CV).
-  std::vector<dl::SequenceSample> standardize(
-      const std::vector<dl::SequenceSample>& raw_samples) const;
-  /// Scores STANDARDIZED samples according to the configured score mode.
-  std::vector<double> sample_errors(
-      const std::vector<dl::SequenceSample>& standardized);
+  /// Fits the row standardizer over the N+1 rows of each window of the raw
+  /// row block `rows` that begins at `starts` (called by fit(); exposed for
+  /// the cross-validation harness which trains on window subsets).
+  void fit_scaler(const dl::Matrix& rows,
+                  const std::vector<std::size_t>& starts) {
+    scaler_.fit(rows, starts, window_size_ + 1);
+  }
+  /// Standardizes a raw row block (for callers training via model()).
+  dl::Matrix standardize(const dl::Matrix& rows) const;
 
  private:
   friend Result<std::unique_ptr<AnomalyDetector>> restore_detector(

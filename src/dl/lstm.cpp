@@ -55,17 +55,6 @@ std::vector<Param> LstmPredictor::params() {
 
 // ---- Fused inference path ----------------------------------------------
 
-void LstmPredictor::step_fused(const Matrix& x, Workspace& ws) const {
-  assert(ws.h.rows() == x.rows() && ws.h.cols() == config_.hidden_dim);
-  // z = x·Wx + h·Wh + b. h·Wh lands in its own scratch so the elementwise
-  // add matches add(matmul, matmul) in the reference path bit-for-bit.
-  matmul_into(x, wx_, ws.z);
-  matmul_into(ws.h, wh_, ws.hh);
-  add_inplace(ws.z, ws.hh);
-  add_row_vector_inplace(ws.z, b_);
-  gate_pass(ws);
-}
-
 void LstmPredictor::gate_pass(Workspace& ws) const {
   const std::size_t h = config_.hidden_dim;
   const std::size_t batch = ws.z.rows();
@@ -102,44 +91,6 @@ void LstmPredictor::project_into(const Matrix& h, Matrix& y) const {
   matmul_into(h, wo_, y);
   add_row_vector_inplace(y, bo_);
   if (config_.sigmoid_output) sigmoid_inplace(y);
-}
-
-void LstmPredictor::window_errors(const std::vector<Matrix>& steps,
-                                  const Matrix& targets, Workspace& ws,
-                                  bool max_step, double* errors) const {
-  const std::size_t d = config_.input_dim;
-  const std::size_t n_steps = steps.size();
-  const std::size_t batch = targets.rows();
-  assert(n_steps > 0);
-  assert(targets.cols() == d);
-  ws.h.resize(batch, config_.hidden_dim);
-  ws.h.zero();
-  ws.c.resize(batch, config_.hidden_dim);
-  ws.c.zero();
-  if (max_step)
-    for (std::size_t r = 0; r < batch; ++r) errors[r] = 0.0;
-  for (std::size_t t = 0; t < n_steps; ++t) {
-    assert(steps[t].rows() == batch && steps[t].cols() == d);
-    step_fused(steps[t], ws);
-    const bool last = t + 1 == n_steps;
-    if (!max_step && !last) continue;
-    project_into(ws.h, ws.y);
-    const Matrix& target_t = last ? targets : steps[t + 1];
-    for (std::size_t r = 0; r < batch; ++r) {
-      const float* yrow = ws.y.row(r);
-      const float* trow = target_t.row(r);
-      double acc = 0.0;
-      for (std::size_t c = 0; c < d; ++c) {
-        double diff = static_cast<double>(yrow[c]) - trow[c];
-        acc += diff * diff;
-      }
-      double err = acc / static_cast<double>(d);
-      if (max_step)
-        errors[r] = std::max(errors[r], err);
-      else
-        errors[r] = err;
-    }
-  }
 }
 
 void LstmPredictor::window_errors_strided(const Matrix& xs,
@@ -301,17 +252,18 @@ Matrix LstmPredictor::project(const Matrix& h) const {
   return config_.sigmoid_output ? sigmoid_mat(pre) : pre;
 }
 
-double LstmPredictor::fit(const std::vector<SequenceSample>& samples,
-                          const LstmTrainConfig& train) {
-  assert(!samples.empty());
-  const std::size_t n_steps = samples[0].window.size();
+double LstmPredictor::fit(const Matrix& rows,
+                          const std::vector<std::size_t>& starts,
+                          std::size_t n_steps, const LstmTrainConfig& train) {
+  assert(!starts.empty() && n_steps > 0);
+  assert(rows.cols() == config_.input_dim);
   const std::size_t d = config_.input_dim;
   // One parameter list for the whole run: zero-grad, clipping, and the
   // optimizer all reuse it instead of rebuilding a vector per batch.
   const std::vector<Param> plist = params();
   Adam optimizer(plist, train.learning_rate);
 
-  std::vector<std::size_t> order(samples.size());
+  std::vector<std::size_t> order(starts.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   double mean_loss = 0.0;
@@ -327,13 +279,13 @@ double LstmPredictor::fit(const std::vector<SequenceSample>& samples,
       std::vector<Matrix> steps(n_steps, Matrix(batch, d));
       Matrix targets(batch, d);
       for (std::size_t i = start; i < end; ++i) {
-        const SequenceSample& sample = samples[order[i]];
-        assert(sample.window.size() == n_steps);
+        const std::size_t first = starts[order[i]];
+        assert(first + n_steps < rows.rows());
         for (std::size_t t = 0; t < n_steps; ++t)
-          for (std::size_t c = 0; c < d; ++c)
-            steps[t].at(i - start, c) = sample.window[t][c];
-        for (std::size_t c = 0; c < d; ++c)
-          targets.at(i - start, c) = sample.target[c];
+          std::memcpy(steps[t].row(i - start), rows.row(first + t),
+                      d * sizeof(float));
+        std::memcpy(targets.row(i - start), rows.row(first + n_steps),
+                    d * sizeof(float));
       }
 
       for (const Param& p : plist) p.grad->zero();
@@ -377,84 +329,6 @@ double LstmPredictor::fit(const std::vector<SequenceSample>& samples,
     if (train.on_epoch) train.on_epoch(epoch, mean_loss);
   }
   return mean_loss;
-}
-
-std::vector<float> LstmPredictor::predict(
-    const std::vector<std::vector<float>>& window) {
-  const std::size_t d = config_.input_dim;
-  Workspace ws;
-  ws.h.resize(1, config_.hidden_dim);
-  ws.h.zero();
-  ws.c.resize(1, config_.hidden_dim);
-  ws.c.zero();
-  Matrix x(1, d);
-  for (const auto& step : window) {
-    assert(step.size() == d);
-    for (std::size_t c = 0; c < d; ++c) x.at(0, c) = step[c];
-    step_fused(x, ws);
-  }
-  project_into(ws.h, ws.y);
-  std::vector<float> out(d);
-  for (std::size_t c = 0; c < d; ++c) out[c] = ws.y.at(0, c);
-  return out;
-}
-
-double LstmPredictor::prediction_error(const SequenceSample& sample) {
-  std::vector<float> predicted = predict(sample.window);
-  double acc = 0.0;
-  for (std::size_t c = 0; c < predicted.size(); ++c) {
-    double diff = static_cast<double>(predicted[c]) - sample.target[c];
-    acc += diff * diff;
-  }
-  return acc / static_cast<double>(predicted.size());
-}
-
-namespace {
-/// Shared batched-evaluation driver: assembles kBatch-sized chunks of
-/// samples into step matrices and scores them through the fused workspace
-/// path. One buffer set is reused across chunks.
-std::vector<double> batched_errors(const LstmPredictor& model,
-                                   const std::vector<SequenceSample>& samples,
-                                   std::size_t input_dim, bool max_step) {
-  std::vector<double> errors;
-  errors.reserve(samples.size());
-  if (samples.empty()) return errors;
-  errors.resize(samples.size());
-
-  const std::size_t n_steps = samples[0].window.size();
-  const std::size_t d = input_dim;
-  const std::size_t kBatch = 64;
-  std::vector<Matrix> steps(n_steps);
-  Matrix targets;
-  LstmPredictor::Workspace ws;
-  for (std::size_t start = 0; start < samples.size(); start += kBatch) {
-    std::size_t end = std::min(start + kBatch, samples.size());
-    std::size_t batch = end - start;
-    for (std::size_t t = 0; t < n_steps; ++t) steps[t].resize(batch, d);
-    targets.resize(batch, d);
-    for (std::size_t i = start; i < end; ++i) {
-      const SequenceSample& sample = samples[i];
-      assert(sample.window.size() == n_steps);
-      for (std::size_t t = 0; t < n_steps; ++t)
-        for (std::size_t c = 0; c < d; ++c)
-          steps[t].at(i - start, c) = sample.window[t][c];
-      for (std::size_t c = 0; c < d; ++c)
-        targets.at(i - start, c) = sample.target[c];
-    }
-    model.window_errors(steps, targets, ws, max_step, errors.data() + start);
-  }
-  return errors;
-}
-}  // namespace
-
-std::vector<double> LstmPredictor::max_step_errors(
-    const std::vector<SequenceSample>& samples) {
-  return batched_errors(*this, samples, config_.input_dim, /*max_step=*/true);
-}
-
-std::vector<double> LstmPredictor::prediction_errors(
-    const std::vector<SequenceSample>& samples) {
-  return batched_errors(*this, samples, config_.input_dim, /*max_step=*/false);
 }
 
 }  // namespace xsec::dl

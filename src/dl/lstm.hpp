@@ -6,10 +6,15 @@
 // actually followed. Implemented as a single LSTM layer with full
 // backpropagation through time plus a sigmoid-activated output projection.
 //
-// Two forward paths share the same math bit-for-bit:
+// Both paths read windows from one row block: window i is the rows
+// [s_i, s_i + N) of a feature-row matrix and its target is row s_i + N, so
+// no per-window copy of a corpus is built (training gathers only the
+// current batch's steps). Two forward paths share the same math
+// bit-for-bit:
 //   - forward_steps(): the training path, materializing per-gate matrices
 //     for BPTT;
-//   - step_fused()/window_errors(): the inference path, which computes the
+//   - window_errors_strided(): the inference path over overlapping sliding
+//     windows, which puts every distinct row through Wx once, computes the
 //     gate pre-activations into one reusable B×4H workspace buffer and
 //     applies all four gate activations plus the c/h update in a single
 //     pass over it — no gate slicing, no per-step temporaries, and zero
@@ -43,13 +48,6 @@ struct LstmTrainConfig {
   std::function<void(int, double)> on_epoch;
 };
 
-/// One training/evaluation sample: a window of N input vectors and the
-/// vector that followed it.
-struct SequenceSample {
-  std::vector<std::vector<float>> window;  // N × D
-  std::vector<float> target;               // D
-};
-
 class LstmPredictor {
  public:
   /// Preallocated buffers for the fused inference path. Matrices only grow
@@ -61,51 +59,33 @@ class LstmPredictor {
     Matrix hh;    // B×4H scratch for h·Wh, kept separate so the
                   // x·Wx + h·Wh add matches the reference FP order
     Matrix y;     // B×D output projection
-    Matrix zx;    // (B+T-1)×4H shared x·Wx rows (strided batch path)
+    Matrix zx;    // (B+T-1)×4H shared x·Wx rows
     Matrix gates;  // 5×H per-row scratch for the batched gate activations
   };
 
   explicit LstmPredictor(LstmConfig config);
 
-  double fit(const std::vector<SequenceSample>& samples,
-             const LstmTrainConfig& train);
+  /// Trains on the windows of the (already scaled) row block `rows`:
+  /// sample i reads rows [starts[i], starts[i] + n_steps), and at step t
+  /// the loss compares the prediction with row starts[i] + t + 1, so the
+  /// last step's target is row starts[i] + n_steps.
+  double fit(const Matrix& rows, const std::vector<std::size_t>& starts,
+             std::size_t n_steps, const LstmTrainConfig& train);
 
-  /// Per-sample mean squared prediction error of the FINAL step (the
-  /// paper's formulation: x̂_{i+N} vs x_{i+N}).
-  std::vector<double> prediction_errors(
-      const std::vector<SequenceSample>& samples);
-  double prediction_error(const SequenceSample& sample);
-  /// Per-sample WORST per-step prediction error: at every step t the model
-  /// predicts the next record and is compared to what actually followed
-  /// (DeepLog-style). Catches an anomalous record anywhere in the window,
-  /// not only at the target position.
-  std::vector<double> max_step_errors(
-      const std::vector<SequenceSample>& samples);
-  /// Predicted next vector for one window (N × D rows).
-  std::vector<float> predict(const std::vector<std::vector<float>>& window);
-
-  /// Batched per-window errors over pre-assembled step matrices: steps[t]
-  /// is B×D (row w = step t of window w), targets is B×D. Writes one error
-  /// per window into errors[0..B): the worst per-step next-record error
-  /// when `max_step`, else the final-step error. Allocation-free given a
-  /// warmed workspace; bit-identical to the training-path forward.
-  void window_errors(const std::vector<Matrix>& steps, const Matrix& targets,
-                     Workspace& ws, bool max_step, double* errors) const;
   /// Batched per-window errors over OVERLAPPING sliding windows sharing one
   /// row block: xs holds n_windows + n_steps contiguous (already scaled)
-  /// rows, window w's step t is row w+t and its target is row w+t+1. Each
-  /// distinct row feeds Wx exactly once — an n_steps-fold cut of the
-  /// input-side matmul versus per-window step matrices — and each step's
-  /// pre-activations are gathered as one contiguous row range. Bit-identical
-  /// to window_errors on equivalently assembled step/target matrices.
+  /// rows, window w's step t is row w+t and its target is row w+t+1. Writes
+  /// one error per window into errors[0..n_windows): the worst per-step
+  /// next-record error when `max_step` (DeepLog-style: catches an anomalous
+  /// record anywhere in the window), else the final-step error (the paper's
+  /// x̂_{i+N} vs x_{i+N}). Each distinct row feeds Wx exactly once and each
+  /// step's pre-activations are gathered as one contiguous row range.
+  /// Allocation-free given a warmed workspace; bit-identical to the
+  /// training-path forward. On return ws.y holds the last step's
+  /// predictions, one row per window.
   void window_errors_strided(const Matrix& xs, std::size_t n_windows,
                              std::size_t n_steps, Workspace& ws,
                              bool max_step, double* errors) const;
-  /// One fused cell step: consumes x (B×D), updates ws.h / ws.c in place.
-  /// ws.h and ws.c must be B×H (zeroed before the first step).
-  void step_fused(const Matrix& x, Workspace& ws) const;
-  /// Output head y = sigmoid?(h·Wo + bo) into a caller-owned buffer.
-  void project_into(const Matrix& h, Matrix& y) const;
 
   const LstmConfig& config() const { return config_; }
   std::vector<Param> params();
@@ -114,6 +94,8 @@ class LstmPredictor {
   /// The fused half of a cell step: ws.z already holds x·Wx + h·Wh + b;
   /// applies all four gate activations and the c/h update in one pass.
   void gate_pass(Workspace& ws) const;
+  /// Output head y = sigmoid?(h·Wo + bo) into a caller-owned buffer.
+  void project_into(const Matrix& h, Matrix& y) const;
 
   /// Per-timestep BPTT cache. The input matrix is NOT copied here — the
   /// backward pass reads it from the caller's step vector by index.
@@ -134,7 +116,7 @@ class LstmPredictor {
   void backward_steps(const std::vector<Matrix>& steps,
                       const std::vector<StepCache>& caches,
                       const std::vector<Matrix>& grad_h_per_step);
-  /// Output head without caching (evaluation paths).
+  /// Output head over one step's hidden state (training path).
   Matrix project(const Matrix& h) const;
 
   LstmConfig config_;

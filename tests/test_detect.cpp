@@ -2,6 +2,7 @@
 // detectors, and the MobiWatch xApp.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "detect/features.hpp"
 #include "detect/mobiwatch.hpp"
 #include "detect/scorer.hpp"
@@ -296,7 +297,8 @@ TEST(WindowDataset, SampleCounts) {
   EXPECT_EQ(dataset.lstm_sample_count(), 6u);
   EXPECT_EQ(dataset.ae_matrix().rows(), 7u);
   EXPECT_EQ(dataset.ae_matrix().cols(), 4 * encoder.dim());
-  EXPECT_EQ(dataset.lstm_samples().size(), 6u);
+  EXPECT_EQ(dataset.lstm_starts(),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(WindowDataset, TooShortTraceYieldsNoSamples) {
@@ -328,6 +330,7 @@ TEST(WindowDataset, MultiTraceWindowsDoNotStraddleBoundaries) {
   // Per capture: 3 AE windows, 2 LSTM windows.
   EXPECT_EQ(dataset.ae_sample_count(), 6u);
   EXPECT_EQ(dataset.lstm_sample_count(), 4u);
+  EXPECT_EQ(dataset.lstm_starts(), (std::vector<std::size_t>{0, 1, 6, 7}));
   EXPECT_EQ(dataset.record_count(), 12u);
 }
 
@@ -341,10 +344,34 @@ TEST(Standardizer, NormalizesSeenDimsAndWeighsUnseen) {
   data.at(3, 0) = 3;  // mean 2, std 1; dim 1 constant 0
   Standardizer scaler;
   scaler.fit(data);
-  std::vector<float> row = {3.0f, 1.0f};
+  dl::Matrix row(1, 2);
+  row.at(0, 0) = 3.0f;
+  row.at(0, 1) = 1.0f;
   scaler.apply(row);
-  EXPECT_NEAR(row[0], 1.0f, 1e-5);   // (3-2)/1
-  EXPECT_NEAR(row[1], 20.0f, 1e-4);  // (1-0)/floor(0.05)
+  EXPECT_NEAR(row.at(0, 0), 1.0f, 1e-5);   // (3-2)/1
+  EXPECT_NEAR(row.at(0, 1), 20.0f, 1e-4);  // (1-0)/floor(0.05)
+}
+
+TEST(Standardizer, WindowFitMatchesGatheredRowsBitForBit) {
+  // Fitting over overlapping windows of a row block counts each shared row
+  // once per window, in window order — the same float sums as fitting a
+  // matrix of the gathered windows' rows.
+  Rng rng(0x57D);
+  dl::Matrix rows(12, 3);
+  for (float& v : rows.data()) v = static_cast<float>(rng.uniform(-2, 5));
+  const std::vector<std::size_t> starts = {0, 1, 2, 6, 7};
+  const std::size_t span = 4;
+  dl::Matrix gathered(starts.size() * span, 3);
+  for (std::size_t w = 0; w < starts.size(); ++w)
+    for (std::size_t t = 0; t < span; ++t)
+      for (std::size_t c = 0; c < 3; ++c)
+        gathered.at(w * span + t, c) = rows.at(starts[w] + t, c);
+  Standardizer windowed;
+  windowed.fit(rows, starts, span);
+  Standardizer flat;
+  flat.fit(gathered);
+  EXPECT_EQ(windowed.mean(), flat.mean());
+  EXPECT_EQ(windowed.inv_std(), flat.inv_std());
 }
 
 // --- Detectors -------------------------------------------------------------

@@ -377,80 +377,108 @@ TEST(Autoencoder, DeterministicGivenSeed) {
 
 // --- LSTM ------------------------------------------------------------
 
-std::vector<SequenceSample> toy_sequences(std::size_t n) {
-  // Deterministic cyclic pattern over 4 one-hot symbols: 0 1 2 3 0 1 ...
-  std::vector<SequenceSample> samples;
-  for (std::size_t start = 0; start < n; ++start) {
-    SequenceSample s;
-    for (std::size_t t = 0; t < 3; ++t) {
-      std::vector<float> x(4, 0.0f);
-      x[(start + t) % 4] = 1.0f;
-      s.window.push_back(x);
-    }
-    s.target.assign(4, 0.0f);
-    s.target[(start + 3) % 4] = 1.0f;
-    samples.push_back(std::move(s));
-  }
-  return samples;
+/// Deterministic cyclic pattern over 4 one-hot symbols: row r is symbol
+/// r % 4 (0 1 2 3 0 1 ...), `n` windows of 3 steps starting at rows 0..n-1.
+struct ToySequences {
+  Matrix rows;
+  std::vector<std::size_t> starts;
+};
+
+ToySequences toy_sequences(std::size_t n) {
+  ToySequences toy{Matrix(n + 3, 4), {}};
+  for (std::size_t r = 0; r < n + 3; ++r) toy.rows.at(r, r % 4) = 1.0f;
+  for (std::size_t s = 0; s < n; ++s) toy.starts.push_back(s);
+  return toy;
+}
+
+/// A one-window block: the given symbols, one one-hot row each (the last
+/// is the target).
+Matrix symbol_rows(const std::vector<std::size_t>& symbols) {
+  Matrix rows(symbols.size(), 4);
+  for (std::size_t r = 0; r < symbols.size(); ++r)
+    rows.at(r, symbols[r]) = 1.0f;
+  return rows;
+}
+
+/// Errors of the n sliding windows of `n_steps` steps over `rows`.
+std::vector<double> strided_errors(const LstmPredictor& model,
+                                   const Matrix& rows, std::size_t n,
+                                   std::size_t n_steps, bool max_step) {
+  LstmPredictor::Workspace ws;
+  std::vector<double> errors(n);
+  model.window_errors_strided(rows, n, n_steps, ws, max_step, errors.data());
+  return errors;
 }
 
 TEST(Lstm, LearnsCyclicSequence) {
-  auto samples = toy_sequences(64);
+  auto toy = toy_sequences(64);
   LstmPredictor model(LstmConfig{4, 16, 11});
   LstmTrainConfig train;
   train.epochs = 150;
   train.learning_rate = 5e-3f;
-  double loss = model.fit(samples, train);
+  double loss = model.fit(toy.rows, toy.starts, 3, train);
   EXPECT_LT(loss, 0.03);
 
-  // Prediction puts most mass on the correct next symbol.
-  auto predicted = model.predict(samples[0].window);
+  // Prediction puts most mass on the correct next symbol: after the pass,
+  // the workspace's output head holds the last step's prediction.
+  LstmPredictor::Workspace ws;
+  double error = 0.0;
+  model.window_errors_strided(toy.rows, 1, 3, ws, /*max_step=*/false,
+                              &error);
+  const float* predicted = ws.y.row(0);
   std::size_t argmax = 0;
-  for (std::size_t i = 1; i < predicted.size(); ++i)
+  for (std::size_t i = 1; i < 4; ++i)
     if (predicted[i] > predicted[argmax]) argmax = i;
   EXPECT_EQ(argmax, 3u);  // window 0,1,2 -> next is 3
 }
 
 TEST(Lstm, AnomalousNextSymbolScoresHigher) {
-  auto samples = toy_sequences(64);
+  auto toy = toy_sequences(64);
   LstmPredictor model(LstmConfig{4, 16, 12});
   LstmTrainConfig train;
   train.epochs = 150;
   train.learning_rate = 5e-3f;
-  model.fit(samples, train);
+  model.fit(toy.rows, toy.starts, 3, train);
 
-  double benign_error = model.prediction_error(samples[0]);
-  SequenceSample anomalous = samples[0];
-  anomalous.target.assign(4, 0.0f);
-  anomalous.target[1] = 1.0f;  // wrong symbol follows
-  EXPECT_GT(model.prediction_error(anomalous), benign_error * 4);
+  double benign_error =
+      strided_errors(model, symbol_rows({0, 1, 2, 3}), 1, 3, false)[0];
+  // The wrong symbol follows the window.
+  double anomalous_error =
+      strided_errors(model, symbol_rows({0, 1, 2, 1}), 1, 3, false)[0];
+  EXPECT_GT(anomalous_error, benign_error * 4);
 }
 
 TEST(Lstm, MaxStepErrorsCatchMidWindowAnomaly) {
-  auto samples = toy_sequences(64);
+  auto toy = toy_sequences(64);
   LstmPredictor model(LstmConfig{4, 16, 13});
   LstmTrainConfig train;
   train.epochs = 150;
   train.learning_rate = 5e-3f;
-  model.fit(samples, train);
+  model.fit(toy.rows, toy.starts, 3, train);
 
-  SequenceSample corrupted = samples[0];
-  corrupted.window[2].assign(4, 0.0f);
-  corrupted.window[2][0] = 1.0f;  // out-of-order symbol mid-window
-  double clean = model.max_step_errors({samples[0]})[0];
-  double broken = model.max_step_errors({corrupted})[0];
+  double clean = strided_errors(model, symbol_rows({0, 1, 2, 3}), 1, 3,
+                                /*max_step=*/true)[0];
+  // Out-of-order symbol mid-window.
+  double broken = strided_errors(model, symbol_rows({0, 1, 0, 3}), 1, 3,
+                                 /*max_step=*/true)[0];
   EXPECT_GT(broken, clean * 3);
 }
 
 TEST(Lstm, BatchedAndSingleErrorsAgree) {
-  auto samples = toy_sequences(10);
+  auto toy = toy_sequences(10);
   LstmPredictor model(LstmConfig{4, 8, 14});
   LstmTrainConfig train;
   train.epochs = 5;
-  model.fit(samples, train);
-  auto batched = model.prediction_errors(samples);
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    EXPECT_NEAR(batched[i], model.prediction_error(samples[i]), 1e-9);
+  model.fit(toy.rows, toy.starts, 3, train);
+  for (bool max_step : {false, true}) {
+    auto batched = strided_errors(model, toy.rows, 10, 3, max_step);
+    for (std::size_t w = 0; w < 10; ++w) {
+      Matrix one(4, 4);
+      std::memcpy(one.row(0), toy.rows.row(w), one.size() * sizeof(float));
+      EXPECT_EQ(batched[w], strided_errors(model, one, 1, 3, max_step)[0])
+          << "window " << w << (max_step ? " max-step" : " final-step");
+    }
+  }
 }
 
 // --- Metrics ----------------------------------------------------------
@@ -518,11 +546,13 @@ TEST(Serialize, ShapeMismatchRejected) {
 TEST(Serialize, LstmModelRoundTrip) {
   LstmPredictor a(LstmConfig{4, 8, 1});
   LstmPredictor b(LstmConfig{4, 8, 2});
-  auto samples = toy_sequences(8);
-  EXPECT_NE(a.prediction_errors(samples), b.prediction_errors(samples));
+  auto toy = toy_sequences(8);
+  EXPECT_NE(strided_errors(a, toy.rows, 8, 3, false),
+            strided_errors(b, toy.rows, 8, 3, false));
   Bytes blob = save_params(a.params());
   ASSERT_TRUE(load_params(b.params(), blob).ok());
-  EXPECT_EQ(a.prediction_errors(samples), b.prediction_errors(samples));
+  EXPECT_EQ(strided_errors(a, toy.rows, 8, 3, false),
+            strided_errors(b, toy.rows, 8, 3, false));
 }
 
 // --- Fused/into kernel bit-identity -----------------------------------
@@ -861,12 +891,15 @@ TEST(FusedKernels, LstmFusedPathMatchesGateByGateReference) {
     const Matrix& wo = *plist[3].value;
     const Matrix& bo = *plist[4].value;
 
+    // A sliding row block: window r's step t is row r + t, its target row
+    // r + n_steps. The reference gathers each step into its own matrix.
     Rng rng(74);
-    std::vector<Matrix> steps(n_steps, Matrix(batch, d));
-    Matrix targets(batch, d);
-    for (auto& step : steps)
-      for (float& v : step.data()) v = static_cast<float>(rng.uniform(-1, 1));
-    for (float& v : targets.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    Matrix xs(batch + n_steps, d);
+    for (float& v : xs.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    std::vector<Matrix> steps(n_steps + 1, Matrix(batch, d));
+    for (std::size_t t = 0; t <= n_steps; ++t)
+      std::memcpy(steps[t].row(0), xs.row(t), batch * d * sizeof(float));
+    const Matrix& targets = steps[n_steps];
 
     auto slice_gate = [&](const Matrix& z, std::size_t gate) {
       Matrix out(z.rows(), hidden);
@@ -905,7 +938,7 @@ TEST(FusedKernels, LstmFusedPathMatchesGateByGateReference) {
       c = add(hadamard(f, c), hadamard(i, g));
       h = hadamard(o, tanh_mat(c));
       Matrix y = project(h);
-      const Matrix& target_t = (t + 1 < n_steps) ? steps[t + 1] : targets;
+      const Matrix& target_t = steps[t + 1];
       for (std::size_t r = 0; r < batch; ++r) {
         ref_max[r] = std::max(ref_max[r], row_mse(y, target_t, r));
         if (t + 1 == n_steps) ref_final[r] = row_mse(y, targets, r);
@@ -915,10 +948,10 @@ TEST(FusedKernels, LstmFusedPathMatchesGateByGateReference) {
     LstmPredictor::Workspace ws;
     std::vector<double> fused_max(batch);
     std::vector<double> fused_final(batch);
-    model.window_errors(steps, targets, ws, /*max_step=*/true,
-                        fused_max.data());
-    model.window_errors(steps, targets, ws, /*max_step=*/false,
-                        fused_final.data());
+    model.window_errors_strided(xs, batch, n_steps, ws, /*max_step=*/true,
+                                fused_max.data());
+    model.window_errors_strided(xs, batch, n_steps, ws, /*max_step=*/false,
+                                fused_final.data());
     for (std::size_t r = 0; r < batch; ++r) {
       ASSERT_EQ(ref_max[r], fused_max[r]) << "row " << r;
       ASSERT_EQ(ref_final[r], fused_final[r]) << "row " << r;
@@ -973,18 +1006,54 @@ TEST(TrainingGolden, FixedSeedFitsHashToPinnedStates) {
   {
     const std::size_t rows_per = window + 1;
     std::vector<float> windows = golden_rows(n * rows_per, dim);
-    std::vector<SequenceSample> raw(n);
-    for (std::size_t w = 0; w < n; ++w) {
-      const float* base = windows.data() + w * rows_per * dim;
-      for (std::size_t t = 0; t < window; ++t)
-        raw[w].window.emplace_back(base + t * dim, base + (t + 1) * dim);
-      raw[w].target.assign(base + window * dim, base + rows_per * dim);
-    }
+    Matrix rows(n * rows_per, dim);
+    std::memcpy(rows.row(0), windows.data(), windows.size() * sizeof(float));
+    std::vector<std::size_t> starts;
+    for (std::size_t w = 0; w < n; ++w) starts.push_back(w * rows_per);
     detect::LstmDetector lstm(window, dim, config, 8);
-    lstm.fit_scaler(raw);
+    lstm.fit_scaler(rows, starts);
     ASSERT_TRUE(lstm.fine_tune(windows.data(), n, rows_per, tune));
     EXPECT_EQ(fnv1a(lstm.save_state()), 0x24a17dc76933273eull);
   }
+}
+
+/// A capture of `records` uplink RRC records whose message type is drawn
+/// from three kinds per record (seeded), so consecutive feature rows vary.
+mobiflow::Trace golden_trace(std::size_t records, std::uint64_t seed) {
+  constexpr mobiflow::vocab::MsgType kKinds[] = {
+      mobiflow::vocab::MsgType::kMeasurementReport,
+      mobiflow::vocab::MsgType::kRrcReconfigurationComplete,
+      mobiflow::vocab::MsgType::kUlInformationTransfer};
+  Rng rng(seed);
+  mobiflow::Trace trace;
+  for (std::size_t i = 0; i < records; ++i) {
+    mobiflow::Record r;
+    r.protocol = mobiflow::vocab::Protocol::kRrc;
+    r.msg = kKinds[rng.uniform_u64(0, 2)];
+    r.direction = mobiflow::vocab::Direction::kUl;
+    r.rnti = static_cast<std::uint16_t>(1 + rng.uniform_u64(0, 1));
+    r.timestamp_us = static_cast<std::int64_t>(i) * 1000;
+    trace.add(r, false);
+  }
+  return trace;
+}
+
+TEST(TrainingGolden, LstmFitOnTwoCapturesHashesToPinnedState) {
+  // fit() fits the scaler over every window's N+1 rows in window order,
+  // trains on the windows of both captures (none straddles the boundary)
+  // and calibrates the threshold over the same windows: 45 + 32 = 77
+  // windows, two full batches of 32 and a tail of 13.
+  const std::size_t window = 5;
+  detect::FeatureEncoder encoder;
+  auto dataset = detect::WindowDataset::from_traces(
+      {golden_trace(50, 0x1157), golden_trace(37, 0x2157)}, encoder, window);
+  ASSERT_EQ(dataset.lstm_sample_count(), 77u);
+  detect::DetectorConfig config;
+  config.seed = 99;
+  config.epochs = 3;
+  detect::LstmDetector lstm(window, encoder.dim(), config, 8);
+  lstm.fit(dataset);
+  EXPECT_EQ(fnv1a(lstm.save_state()), 0xecd34e1c3e97eed2ull);
 }
 
 // --- Zero-allocation guarantee ----------------------------------------
@@ -1093,6 +1162,46 @@ TEST(Allocation, ForgedTraceCountAllocatesBoundedBlocks) {
   g_largest_alloc.store(0);
   EXPECT_FALSE(mobiflow::Trace::deserialize(forged).ok());
   EXPECT_LE(g_largest_alloc.load(), 256u);
+}
+
+// A detector state blob declares its shape ahead of its weights, and a
+// forger can recompute any checksum around it: a declared shape whose
+// weights cannot fit in the bytes that follow must be rejected before a
+// detector of that shape is built. Header: magic u32, kind u8, window u32
+// (offset 5), feature dim u32 (9), then the AE's hidden count (13) and
+// widths (17..) or the LSTM's hidden dim (13).
+
+/// The largest single heap request restore_detector() makes on `state`
+/// with the u32 at `offset` set to 2^30; the restore must fail.
+std::size_t forged_shape_largest_alloc(const Bytes& state,
+                                       std::size_t offset) {
+  EXPECT_TRUE(detect::restore_detector(state).ok());
+  Bytes forged = state;
+  ByteWriter w;
+  w.u32(0x40000000);
+  Bytes field = w.take();
+  std::copy(field.begin(), field.end(), forged.begin() + offset);
+  g_largest_alloc.store(0);
+  EXPECT_FALSE(detect::restore_detector(forged).ok());
+  return g_largest_alloc.load();
+}
+
+TEST(Allocation, ForgedAutoencoderShapeAllocatesBoundedBlocks) {
+  detect::AutoencoderDetector ae(5, 12, {}, {16, 8});
+  const Bytes state = ae.save_state();
+  EXPECT_LE(forged_shape_largest_alloc(state, 17), state.size())
+      << "first hidden width";
+  EXPECT_LE(forged_shape_largest_alloc(state, 5), state.size())
+      << "window size";
+}
+
+TEST(Allocation, ForgedLstmShapeAllocatesBoundedBlocks) {
+  detect::LstmDetector lstm(5, 12, {}, 8);
+  const Bytes state = lstm.save_state();
+  EXPECT_LE(forged_shape_largest_alloc(state, 13), state.size())
+      << "hidden dim";
+  EXPECT_LE(forged_shape_largest_alloc(state, 9), state.size())
+      << "feature dim";
 }
 
 TEST(Allocation, WarmedScoringOnWorkerThreadAllocatesNothing) {

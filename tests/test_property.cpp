@@ -658,12 +658,13 @@ INSTANTIATE_TEST_SUITE_P(WindowSizes, WindowProperty,
 // scoring path that produces the Table 2 reproduction — the MobiWatch
 // batching optimization is not allowed to move any detector metric. The
 // dataset path stages the corpus kScoreChunk windows at a time, so the
-// traces cover one short chunk and, at 2 * kScoreChunk + 37 + window
-// records, two full chunks plus a ragged tail for both the AE family and
-// the LSTM.
+// inputs cover one short chunk, at 2 * kScoreChunk + 37 + window records
+// two full chunks plus a ragged tail for both the AE family and the LSTM,
+// and a two-capture dataset whose windows must stop at the boundary.
 
-mobiflow::Trace batched_scoring_trace(std::size_t records) {
-  Rng rng(47);
+mobiflow::Trace batched_scoring_trace(std::size_t records,
+                                      std::uint64_t seed = 47) {
+  Rng rng(seed);
   mobiflow::Trace trace;
   for (std::size_t i = 0; i < records; ++i) {
     mobiflow::Record r;
@@ -680,44 +681,55 @@ mobiflow::Trace batched_scoring_trace(std::size_t records) {
 
 TEST(BatchedScoringProperty, BatchedBitIdenticalToSingleAndDatasetScoring) {
   const std::size_t window = 5;
-  for (std::size_t records :
-       {std::size_t{60}, 2 * detect::kScoreChunk + 37 + window}) {
-    SCOPED_TRACE(records);
+  const std::vector<std::vector<std::size_t>> inputs = {
+      {60},
+      {2 * detect::kScoreChunk + 37 + window},
+      {detect::kScoreChunk + 3 + window, 40}};
+  for (const auto& captures : inputs) {
+    SCOPED_TRACE(::testing::PrintToString(captures));
     detect::FeatureEncoder encoder;
-    auto trace = batched_scoring_trace(records);
-    auto dataset = detect::WindowDataset::from_trace(trace, encoder, window);
+    std::vector<mobiflow::Trace> traces;
+    for (std::size_t c = 0; c < captures.size(); ++c)
+      traces.push_back(batched_scoring_trace(captures[c], 47 + c));
+    auto dataset = detect::WindowDataset::from_traces(traces, encoder, window);
     const dl::Matrix& feats = dataset.features();
+
+    // Checks score() against score_windows() run over each capture's own
+    // rows and against score_window() per window: `rows_per_window` rows
+    // per window, so a capture of n records holds n - rows_per_window + 1.
+    auto check = [&](detect::AnomalyDetector& detector,
+                     std::size_t rows_per_window) {
+      std::vector<double> table2 = detector.score(dataset);
+      std::size_t first_row = 0;
+      std::size_t first_window = 0;
+      for (std::size_t records : captures) {
+        const std::size_t n = records - rows_per_window + 1;
+        std::vector<double> batched(n);
+        detector.score_windows(feats.row(first_row), encoder.dim(),
+                               rows_per_window, n, batched.data());
+        ASSERT_LE(first_window + n, table2.size());
+        for (std::size_t w = 0; w < n; ++w) {
+          EXPECT_EQ(batched[w], detector.score_window(feats.row(first_row + w),
+                                                      rows_per_window))
+              << w;
+          EXPECT_EQ(batched[w], table2[first_window + w]) << w;
+        }
+        first_row += records;
+        first_window += n;
+      }
+      EXPECT_EQ(table2.size(), first_window);
+    };
 
     detect::DetectorConfig config;
     config.epochs = 3;
 
     detect::AutoencoderDetector ae(window, encoder.dim(), config, {32, 8});
     ae.fit(dataset);
-    const std::size_t ae_windows = feats.rows() - window + 1;
-    std::vector<double> batched(ae_windows);
-    ae.score_windows(feats.row(0), encoder.dim(), window, ae_windows,
-                     batched.data());
-    std::vector<double> table2 = ae.score(dataset);
-    ASSERT_EQ(table2.size(), ae_windows);
-    for (std::size_t w = 0; w < ae_windows; ++w) {
-      EXPECT_EQ(batched[w], ae.score_window(feats.row(w), window)) << w;
-      EXPECT_EQ(batched[w], table2[w]) << w;
-    }
+    check(ae, window);
 
     detect::LstmDetector lstm(window, encoder.dim(), config, 16);
     lstm.fit(dataset);
-    const std::size_t lstm_windows = feats.rows() - window;
-    std::vector<double> lstm_batched(lstm_windows);
-    lstm.score_windows(feats.row(0), encoder.dim(), window + 1, lstm_windows,
-                       lstm_batched.data());
-    std::vector<double> lstm_table2 = lstm.score(dataset);
-    ASSERT_EQ(lstm_table2.size(), lstm_windows);
-    for (std::size_t w = 0; w < lstm_windows; ++w) {
-      EXPECT_EQ(lstm_batched[w],
-                lstm.score_window(feats.row(w), window + 1))
-          << w;
-      EXPECT_EQ(lstm_batched[w], lstm_table2[w]) << w;
-    }
+    check(lstm, window + 1);
 
     detect::EnsembleConfig ensemble_config;
     ensemble_config.detector = config;
@@ -725,16 +737,7 @@ TEST(BatchedScoringProperty, BatchedBitIdenticalToSingleAndDatasetScoring) {
                                       detect::groups_by_category(encoder),
                                       ensemble_config);
     ensemble.fit(dataset);
-    std::vector<double> ens_batched(ae_windows);
-    ensemble.score_windows(feats.row(0), encoder.dim(), window, ae_windows,
-                           ens_batched.data());
-    std::vector<double> ens_table2 = ensemble.score(dataset);
-    ASSERT_EQ(ens_table2.size(), ae_windows);
-    for (std::size_t w = 0; w < ae_windows; ++w) {
-      EXPECT_EQ(ens_batched[w], ensemble.score_window(feats.row(w), window))
-          << w;
-      EXPECT_EQ(ens_batched[w], ens_table2[w]) << w;
-    }
+    check(ensemble, window);
   }
 }
 
